@@ -30,10 +30,8 @@ from .mac import (
     abort_transmission,
     build_frame,
     crc32_fcs,
-    cut_through_peek,
     keyed_checksum_hook,
     mii_marshal,
-    pipeline_step,
     sign_frame,
     validate_frame,
     verify_frame,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diode, emanation, formats, mac, recovery
-from .errors import ConfigError, NoSignalError
+from .errors import ConfigError, EstimationError, NoSignalError
 from .signals import NoiseModel, SerialConfig
 
 EXIT_OK = 0
@@ -244,10 +244,6 @@ def cmd_mac(args: argparse.Namespace) -> int:
     raise ConfigError(f"unknown mac action {action!r}")
 
 
-def validate_to_dict(stream: mac.MiiNibbleStream) -> dict:
-    return mac.validate_frame(stream).to_dict()
-
-
 def _deterministic_frames(count: int, seed: int) -> list[mac.EthernetFrame]:
     rng = np.random.default_rng(seed)
     frames = []
@@ -262,6 +258,8 @@ def _deterministic_frames(count: int, seed: int) -> list[mac.EthernetFrame]:
 
 def cmd_diode(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    if cfg.frames < 0:
+        raise ConfigError("frames must be >= 0")
     serial = SerialConfig(baud=float(cfg.baud))
     link_type = diode.WiredBackLink if args.wired_back else diode.DiodeLink
     link = link_type(
@@ -382,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NoSignalError as exc:
+    except (NoSignalError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_SIGNAL
     except (ConfigError, ValueError, OSError) as exc:

@@ -68,28 +68,20 @@ class ReceiverCircuit:
         return np.clip(self.supply_volts - drop, 0.0, None)
 
 
-@dataclass(frozen=True)
-class ReceivedSignal:
-    """Logic stream at the receiver node, light active-low."""
-
-    events: LogicEventStream
-    light_is_low: bool = True
-
-
-def photodiode_receive(trace: OpticalTrace, rx: ReceiverCircuit) -> ReceivedSignal:
+def photodiode_receive(trace: OpticalTrace, rx: ReceiverCircuit) -> LogicEventStream:
     """Convert an irradiance trace to the node's logic stream.
 
-    Output is in node polarity (illumination reads as 0); the returned
-    flag lets callers re-invert to the transmitted sense.
+    Output is in node polarity: light is active-low, so illumination reads
+    as 0 and callers re-invert to the transmitted sense.
     """
     volts = rx.node_voltage(trace.samples)
     logic = volts >= rx.logic_threshold_fraction * rx.supply_volts
     if logic.size == 0:
-        return ReceivedSignal(LogicEventStream(1, (), 0.0))
+        return LogicEventStream(1, (), 0.0)
     flips = np.flatnonzero(np.diff(logic.astype(np.int8)))
     edges = tuple(((flips + 1) / trace.sample_rate).tolist())
     duration = logic.size / trace.sample_rate
-    return ReceivedSignal(LogicEventStream(int(logic[0]), edges, duration))
+    return LogicEventStream(int(logic[0]), edges, duration)
 
 
 @dataclass(frozen=True)
@@ -272,8 +264,7 @@ def diode_send(frames: list[EthernetFrame], link: DiodeLink, noise: NoiseModel,
                                  (noise.seed + index) & _MASK64)
         arrived = add_noise(channel, frame_noise)
 
-        received = photodiode_receive(arrived, link.rx)
-        line = received.events.invert()
+        line = photodiode_receive(arrived, link.rx).invert()
         decode = uart_decode(line, link.serial_cfg)
         octets = port.take_injected() + decode.octets
         result = validate_frame(MiiNibbleStream(octets_to_nibbles(octets)))

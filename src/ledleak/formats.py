@@ -34,6 +34,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+#: Header keys each file kind must carry.
+_HEADER_KEYS = {TRACE_MAGIC: ("sample_rate_hz", "origin_s"),
+                EVENTS_MAGIC: ("initial", "duration_s")}
+
+
 def _header_fields(line: str, magic: str) -> dict[str, str]:
     if not line.startswith(magic):
         raise ValueError(f"not a {magic!r} file")
@@ -41,6 +46,9 @@ def _header_fields(line: str, magic: str) -> dict[str, str]:
     for token in line[len(magic):].split():
         key, _, value = token.partition("=")
         fields[key] = value
+    for key in _HEADER_KEYS[magic]:
+        if key not in fields:
+            raise ValueError(f"{magic!r} header lacks {key}=")
     return fields
 
 

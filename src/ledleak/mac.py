@@ -1,13 +1,16 @@
 """Clean-room software model of an Ethernet MAC as a deep pipeline.
 
 Frames are marshalled to 4-bit MII nibbles (low nibble of each octet
-first, 25 MHz clock) and de-marshalled by a clocked state machine that
-lands one nibble per clock in one pipeline slot. Header fields become
-readable the instant their last nibble arrives, which gives cut-through
-access to the destination address long before the frame ends; the frame
-check sequence verdict is only available at end of stream. A transmission
-can be aborted mid-stream by completing it with a deliberately corrupted
-FCS, which any compliant receiver will discard.
+first, 25 MHz clock). :func:`validate_frame` de-marshals a whole stream in
+a single pass: it hunts the SFD, packs the octets and checks the frame
+check sequence with zlib's CRC-32. :class:`PipelineState` is the clocked
+model of the same reception, landing one nibble per clock in one pipeline
+slot; it serves per-clock field timing. Header fields become readable the
+instant their last nibble arrives, which gives cut-through access to the
+destination address long before the frame ends; the FCS verdict is only
+available at end of stream. A transmission can be aborted mid-stream by
+completing it with a deliberately corrupted FCS, which any compliant
+receiver will discard.
 
 No CSMA/CD, duplex, inter-frame gap, or VLAN handling: one frame per
 stream, ethertype is two opaque octets.
@@ -15,8 +18,11 @@ stream, ethertype is two opaque octets.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import FrameError
 
@@ -34,30 +40,13 @@ MII_CLOCK_PERIOD = 40e-9  # 25 MHz
 SLOT_WINDOW = 4096
 
 
-def _make_crc_table() -> tuple[int, ...]:
-    table = []
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = (crc >> 1) ^ 0xEDB88320 if crc & 1 else crc >> 1
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC_TABLE = _make_crc_table()
-
-
 def crc32_fcs(octets: bytes) -> bytes:
     """Ethernet frame check sequence over the given octets.
 
     Reflected CRC-32, register initialised to all ones, final complement;
     returned least-significant octet first as transmitted on the wire.
     """
-    crc = 0xFFFFFFFF
-    table = _CRC_TABLE
-    for b in octets:
-        crc = table[(crc ^ b) & 0xFF] ^ (crc >> 8)
-    return (crc ^ 0xFFFFFFFF).to_bytes(4, "little")
+    return zlib.crc32(octets).to_bytes(4, "little")
 
 
 def mac_address(value: bytes | str) -> bytes:
@@ -75,6 +64,8 @@ def mac_address(value: bytes | str) -> bytes:
 
 def ethertype_bytes(value: bytes | int) -> bytes:
     if isinstance(value, int):
+        if not 0 <= value <= 0xFFFF:
+            raise FrameError(f"ethertype {value:#x} outside [0, 0xffff]")
         return value.to_bytes(2, "big")
     value = bytes(value)
     if len(value) != 2:
@@ -320,20 +311,6 @@ class PipelineState:
         return {name: values[name] for name in self.fields_valid if name in values}
 
 
-def pipeline_step(state: PipelineState, nibble: int) -> PipelineState:
-    """Clock one nibble into the pipeline. Mutates and returns ``state``."""
-    return state.step(nibble)
-
-
-def cut_through_peek(state: PipelineState) -> dict:
-    """Fields readable right now, ahead of frame completion.
-
-    The destination address is available 12 header nibbles after the SFD,
-    before any payload nibble has arrived.
-    """
-    return state.field_values()
-
-
 @dataclass(frozen=True)
 class ValidationResult:
     """Accepted frame or a rejection reason: no_sfd, runt, oversize, fcs_mismatch."""
@@ -350,21 +327,40 @@ class ValidationResult:
         }
 
 
+def _sfd_index(nibbles: bytes) -> int:
+    """Index of the SFD nibble, or -1: the first 0xD straight after a 0x5.
+
+    This is the hunt rule :class:`PipelineState` applies one clock at a time.
+    """
+    i = nibbles.find(b"\x05\x0d")
+    return i + 1 if i >= 0 else -1
+
+
+def _nibbles_to_octets(nibbles: bytes) -> bytes:
+    """Pack MII nibbles into octets, low nibble first; a dangling half octet is dropped."""
+    n = np.frombuffer(nibbles, dtype=np.uint8)[:len(nibbles) & ~1]
+    return (n[0::2] | (n[1::2] << 4)).tobytes()
+
+
 def validate_frame(stream: MiiNibbleStream) -> ValidationResult:
-    """Run the pipeline over a whole stream and accept or reject the frame."""
-    state = PipelineState()
-    state.feed(stream.nibbles)
-    state.finish()
-    if not state.sfd_found:
+    """Accept or reject the frame a whole stream carries, in one pass.
+
+    Gives the verdict :class:`PipelineState` reaches at end of stream: hunt
+    the SFD, pack the octets after it, then check the length and the FCS.
+    """
+    sfd = _sfd_index(stream.nibbles)
+    if sfd < 0:
         return ValidationResult(False, None, "no_sfd")
-    if state.frame_length < MIN_FRAME:
+    octets = _nibbles_to_octets(stream.nibbles[sfd + 1:])
+    if len(octets) < MIN_FRAME:
         return ValidationResult(False, None, "runt")
-    if state.frame_length > MAX_FRAME:
+    if len(octets) > MAX_FRAME:
         return ValidationResult(False, None, "oversize")
-    if not state.fcs_ok:
+    body, fcs = octets[:-FCS_LEN], octets[-FCS_LEN:]
+    if crc32_fcs(body) != fcs:
         return ValidationResult(False, None, "fcs_mismatch")
-    frame = EthernetFrame(state.dst, state.src, state.ethertype,
-                          state.payload, b"", state.fcs)
+    frame = EthernetFrame(body[:6], body[6:12], body[12:HEADER_LEN],
+                          body[HEADER_LEN:], b"", fcs)
     return ValidationResult(True, frame, None)
 
 
@@ -385,21 +381,12 @@ def abort_transmission(stream: MiiNibbleStream, abort_at: int) -> MiiNibbleStrea
     n = len(nibbles)
     if not 16 <= abort_at <= n - 8:
         raise ValueError(f"abort_at {abort_at} outside legal range [16, {n - 8}]")
-    sfd = None
-    for i in range(1, n):
-        if nibbles[i] == 0xD and nibbles[i - 1] == 0x5:
-            sfd = i
-            break
-    if sfd is None:
+    sfd = _sfd_index(nibbles)
+    if sfd < 0:
         raise ValueError("stream carries no SFD; nothing to abort")
-    body = nibbles[sfd + 1:n - 8]
-    octets = bytes(body[i] | (body[i + 1] << 4) for i in range(0, len(body) - len(body) % 2, 2))
-    good = crc32_fcs(octets)
-    bad = bytearray()
-    for b in good:
-        bad.append((b & 0xF) ^ 0xF)
-        bad.append((b >> 4) ^ 0xF)
-    return MiiNibbleStream(nibbles[:n - 8] + bytes(bad), stream.clock_period)
+    good = crc32_fcs(_nibbles_to_octets(nibbles[sfd + 1:n - 8]))
+    bad = octets_to_nibbles(bytes(b ^ 0xFF for b in good))
+    return MiiNibbleStream(nibbles[:n - 8] + bad, stream.clock_period)
 
 
 @dataclass(frozen=True)

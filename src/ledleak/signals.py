@@ -140,8 +140,8 @@ class OpticalTrace:
     origin_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not 0 < self.sample_rate < float("inf"):
+            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
         arr = np.array(self.samples, dtype=np.float64, copy=True)
         if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")

@@ -26,6 +26,11 @@ def dir_bytes(root) -> dict:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
+def assert_one_error_line(err: str) -> None:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 class TestSynthRecover:
     def test_synth_closed_loop(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -73,6 +78,26 @@ class TestSynthRecover:
         code, _, err = run(capsys, "recover", str(path), "--baud", "9600")
         assert code == EXIT_NO_SIGNAL
         assert "no signal" in err
+
+    def test_baud_auto_too_few_edges_exits_no_signal(self, tmp_path, capsys):
+        path = tmp_path / "step.optrace"
+        write_trace(path, OpticalTrace(1e4, np.repeat([0.0, 1.0], 50)))
+        code, _, err = run(capsys, "recover", str(path), "--baud", "auto")
+        assert code == EXIT_NO_SIGNAL
+        assert_one_error_line(err)
+        assert "edges" in err
+
+    @pytest.mark.parametrize("header", [
+        "# optrace v1 sample_rate_hz=10000.0",
+        "# optrace v1 origin_s=0.0",
+        "# optrace v1 sample_rate_hz=inf origin_s=0.0",
+    ])
+    def test_malformed_trace_header_exits_config(self, tmp_path, capsys, header):
+        path = tmp_path / "bad.optrace"
+        path.write_text(header + "\n0.0\n1.0\n")
+        code, _, err = run(capsys, "recover", str(path), "--baud", "9600")
+        assert code == EXIT_CONFIG
+        assert_one_error_line(err)
 
     def test_unreadable_file_exits_config(self, tmp_path, capsys):
         code, _, _ = run(capsys, "recover", str(tmp_path / "missing.optrace"),
@@ -165,6 +190,14 @@ class TestMacCli:
         assert clocks["ethertype"] == 44
         assert clocks["fcs_ok"] == 144
 
+    @pytest.mark.parametrize("ethertype", ["10000", "-1"])
+    def test_ethertype_out_of_range_exits_config(self, capsys, ethertype):
+        code, stdout, err = run(capsys, "mac", "build", "--dst", self.DST, "--src", self.SRC,
+                                "--ethertype", ethertype)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+
     def test_empty_input_usage_error(self, capsys):
         code, _, err = run(capsys, "mac", "validate", "")
         assert code == EXIT_CONFIG
@@ -199,6 +232,19 @@ class TestDiodeCli:
                            "--wired-back", "--out", str(tmp_path / "d"))
         assert code == EXIT_ONE_WAY
         assert "violation" in err
+
+    def test_negative_frames_exits_config(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code, stdout, err = run(capsys, "diode", "--frames", "-1", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err == "error: frames must be >= 0\n"
+        assert not out.exists()
+
+    def test_zero_frames_runs(self, tmp_path, capsys):
+        code, stdout, _ = run(capsys, "diode", "--frames", "0", "--out", str(tmp_path / "d"))
+        assert code == EXIT_OK
+        assert json.loads(stdout)["frames_sent"] == 0
 
     def test_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

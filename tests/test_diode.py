@@ -46,17 +46,16 @@ class TestPhotodiodeReceive:
     def test_dark_trace_reads_high(self):
         rx = ReceiverCircuit()
         out = photodiode_receive(OpticalTrace(1e6, np.zeros(500)), rx)
-        assert out.events.initial_level == 1
-        assert out.events.edges == ()
-        assert out.light_is_low
+        assert out.initial_level == 1
+        assert out.edges == ()
 
     def test_full_on_reads_low(self):
         # Ohm's law: 0.5 mA * 10 kOhm = 5 V of drop, node clamps to 0 < 1.65 V
         rx = ReceiverCircuit()
         assert rx.photocurrent_on * rx.pullup_ohms > 0.5 * rx.supply_volts
         out = photodiode_receive(OpticalTrace(1e6, np.ones(500)), rx)
-        assert out.events.initial_level == 0
-        assert out.events.edges == ()
+        assert out.initial_level == 0
+        assert out.edges == ()
 
     def test_ook_square_wave_inverted_edges(self):
         n = 100
@@ -64,9 +63,9 @@ class TestPhotodiodeReceive:
         tr = OpticalTrace(1e6, np.tile(period, 4))
         out = photodiode_receive(tr, ReceiverCircuit())
         true_edges = [i * n / 1e6 for i in range(1, 8)]
-        assert out.events.initial_level == 0  # light at t=0 reads low
-        assert len(out.events.edges) == len(true_edges)
-        for got, want in zip(out.events.edges, true_edges):
+        assert out.initial_level == 0  # light at t=0 reads low
+        assert len(out.edges) == len(true_edges)
+        for got, want in zip(out.edges, true_edges):
             assert abs(got - want) <= 1e-6 + 1e-12
 
     def test_polarity_round_trip_exact(self):
@@ -74,7 +73,7 @@ class TestPhotodiodeReceive:
         fs = 1e6
         tr = led_transduce(line, LedModel(), fs)
         out = photodiode_receive(tr, ReceiverCircuit())
-        restored = out.events.invert()
+        restored = out.invert()
         assert restored.initial_level == line.initial_level
         assert len(restored.edges) == len(line.edges)
         err = np.abs(np.asarray(restored.edges) - np.asarray(line.edges))

@@ -13,6 +13,12 @@ from ledleak.formats import (
 from ledleak.signals import LogicEventStream, OpticalTrace
 
 
+def drop_header_key(path, key: str) -> None:
+    header, rest = path.read_text().split("\n", 1)
+    kept = " ".join(t for t in header.split(" ") if not t.startswith(key + "="))
+    path.write_text(kept + "\n" + rest)
+
+
 class TestTraceFiles:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -35,6 +41,20 @@ class TestTraceFiles:
         path = tmp_path / "bad.optrace"
         path.write_text("# nottrace v1\n0.5\n")
         with pytest.raises(ValueError):
+            read_trace(path)
+
+    @pytest.mark.parametrize("key", ["sample_rate_hz", "origin_s"])
+    def test_missing_header_key_named(self, tmp_path, key):
+        path = tmp_path / "t.optrace"
+        write_trace(path, OpticalTrace(100.0, np.array([0.5])))
+        drop_header_key(path, key)
+        with pytest.raises(ValueError, match=key):
+            read_trace(path)
+
+    def test_infinite_sample_rate_rejected(self, tmp_path):
+        path = tmp_path / "t.optrace"
+        path.write_text("# optrace v1 sample_rate_hz=inf origin_s=0.0\n0.5\n")
+        with pytest.raises(ValueError, match="sample_rate"):
             read_trace(path)
 
     def test_empty_trace_round_trip(self, tmp_path):
@@ -66,6 +86,14 @@ class TestEventFiles:
         write_events(path, LogicEventStream(0, (), 2.0))
         first = path.read_text().splitlines()[0]
         assert first.startswith("# optevents v1 initial=0 duration_s=")
+
+    @pytest.mark.parametrize("key", ["initial", "duration_s"])
+    def test_missing_header_key_named(self, tmp_path, key):
+        path = tmp_path / "e.optevents"
+        write_events(path, LogicEventStream(0, (0.25,), 1.0))
+        drop_header_key(path, key)
+        with pytest.raises(ValueError, match=key):
+            read_events(path)
 
 
 class TestHexFormats:

@@ -5,18 +5,20 @@ from hypothesis import strategies as st
 
 from ledleak.errors import FrameError
 from ledleak.mac import (
+    MAX_FRAME,
+    MIN_FRAME,
     EthernetFrame,
     MiiNibbleStream,
     PipelineState,
+    ValidationResult,
     abort_transmission,
     build_frame,
     crc32_fcs,
-    cut_through_peek,
+    ethertype_bytes,
     keyed_checksum_hook,
     mac_address,
     mii_marshal,
     octets_to_nibbles,
-    pipeline_step,
     sign_frame,
     stream_from_wire_octets,
     validate_frame,
@@ -119,6 +121,15 @@ class TestBuildFrame:
                             bytes(b ^ 0xFF for b in f.fcs), fcs_corrupted=True)
         assert bad.fcs_corrupted
 
+    def test_ethertype_out_of_range_rejected(self):
+        assert ethertype_bytes(0) == b"\x00\x00"
+        assert ethertype_bytes(0xFFFF) == b"\xff\xff"
+        for value in (0x10000, -1):
+            with pytest.raises(FrameError):
+                ethertype_bytes(value)
+            with pytest.raises(FrameError):
+                build_frame(DST, SRC, value, b"")
+
     def test_mac_address_parsing(self):
         assert mac_address("00:01:02:03:04:05") == bytes(range(6))
         with pytest.raises(FrameError):
@@ -174,26 +185,26 @@ class TestPipeline:
         s = mii_marshal(make_frame(10))
         state = PipelineState()
         for n in s.nibbles[:15]:
-            pipeline_step(state, n)
+            state.step(n)
         assert not state.sfd_found
-        pipeline_step(state, s.nibbles[15])
+        state.step(s.nibbles[15])
         assert state.sfd_found
         assert state.fields_valid["sfd"] == 16
 
     def test_preamble_forever_stays_hunting(self):
         state = PipelineState()
         for _ in range(500):
-            pipeline_step(state, 0x5)
+            state.step(0x5)
         assert not state.sfd_found
-        assert cut_through_peek(state) == {}
+        assert state.field_values() == {}
 
     def test_dst_valid_after_sfd_plus_12(self):
         f = make_frame(10)
         s = mii_marshal(f)
         state = PipelineState()
         for n in s.nibbles[:28]:
-            pipeline_step(state, n)
-        peek = cut_through_peek(state)
+            state.step(n)
+        peek = state.field_values()
         assert set(peek) == {"dst"}
         assert peek["dst"] == f.dst
         assert state.fields_valid["dst"] == 28
@@ -203,8 +214,8 @@ class TestPipeline:
         s = mii_marshal(f)
         state = PipelineState()
         for n in s.nibbles[:44]:
-            pipeline_step(state, n)
-        peek = cut_through_peek(state)
+            state.step(n)
+        peek = state.field_values()
         assert set(peek) == {"dst", "src", "ethertype"}
         assert peek["src"] == f.src
         assert peek["ethertype"] == f.ethertype
@@ -213,7 +224,7 @@ class TestPipeline:
         f = make_frame(20, seed=4)
         s = mii_marshal(f)
         state = PipelineState().feed(s.nibbles).finish()
-        peek = cut_through_peek(state)
+        peek = state.field_values()
         assert peek["fcs_ok"] is True
         assert peek["length"] == f.wire_length
         assert peek["payload"] == f.payload + f.pad
@@ -222,7 +233,7 @@ class TestPipeline:
         s = mii_marshal(make_frame(0))
         state = PipelineState()
         for i, n in enumerate(s.nibbles, start=1):
-            pipeline_step(state, n)
+            state.step(n)
             assert state.cursor == i
 
     def test_slots_record_one_nibble_each(self):
@@ -238,7 +249,7 @@ class TestPipeline:
         state = PipelineState()
         seen: set = set()
         for n in s.nibbles:
-            pipeline_step(state, n)
+            state.step(n)
             assert seen <= set(state.fields_valid)
             seen = set(state.fields_valid)
 
@@ -251,12 +262,12 @@ class TestPipeline:
     def test_invalid_nibble_rejected(self):
         state = PipelineState()
         with pytest.raises(ValueError):
-            pipeline_step(state, 16)
+            state.step(16)
 
     def test_step_after_finish_rejected(self):
         state = PipelineState().finish()
         with pytest.raises(RuntimeError):
-            pipeline_step(state, 0x5)
+            state.step(0x5)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +309,66 @@ class TestValidateFrame:
         result = validate_frame(mii_marshal(f))
         assert result.accepted
         assert result.frame.serialize() == f.serialize()
+
+
+def stepped_verdict(stream: MiiNibbleStream) -> ValidationResult:
+    """Reference verdict: clock the whole stream through the pipeline."""
+    state = PipelineState().feed(stream.nibbles).finish()
+    if not state.sfd_found:
+        return ValidationResult(False, None, "no_sfd")
+    if state.frame_length < MIN_FRAME:
+        return ValidationResult(False, None, "runt")
+    if state.frame_length > MAX_FRAME:
+        return ValidationResult(False, None, "oversize")
+    if not state.fcs_ok:
+        return ValidationResult(False, None, "fcs_mismatch")
+    frame = EthernetFrame(state.dst, state.src, state.ethertype,
+                          state.payload, b"", state.fcs)
+    return ValidationResult(True, frame, None)
+
+
+# Nibble alphabets: uniform, and one rich in preamble and SFD nibbles.
+nibble_streams = (st.binary(max_size=400).map(lambda b: bytes(x & 0xF for x in b))
+                  | st.lists(st.sampled_from([0x5, 0xD, 0x0, 0xA]), max_size=300).map(bytes))
+prefixes = st.lists(st.sampled_from([0x5, 0xD, 0x0, 0x3, 0xF]), max_size=12).map(bytes)
+
+
+@st.composite
+def marshalled(draw) -> bytes:
+    """Nibbles of a good frame, with payload lengths at the size limits favoured."""
+    n = draw(st.integers(0, 1500) | st.sampled_from([0, 45, 46, 1499, 1500]))
+    return mii_marshal(make_frame(n, seed=draw(st.integers(0, 2**32 - 1)))).nibbles
+
+
+class TestValidateMatchesPipeline:
+    """The single-pass validator gives the clocked pipeline's verdict."""
+
+    @given(nibble_streams)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_streams(self, nibbles):
+        s = MiiNibbleStream(nibbles)
+        assert validate_frame(s) == stepped_verdict(s)
+
+    @given(prefixes, marshalled(), st.lists(st.integers(0, 15), max_size=4).map(bytes))
+    @settings(max_examples=40, deadline=None)
+    def test_frames_with_prefix_and_tail(self, prefix, nibbles, tail):
+        s = MiiNibbleStream(prefix + nibbles + tail)
+        assert validate_frame(s) == stepped_verdict(s)
+
+    @given(marshalled(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_truncated_streams(self, nibbles, data):
+        cut = data.draw(st.integers(0, len(nibbles)))
+        s = MiiNibbleStream(nibbles[:cut])
+        assert validate_frame(s) == stepped_verdict(s)
+
+    @given(marshalled(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_single_corrupted_nibble(self, nibbles, data):
+        i = data.draw(st.integers(0, len(nibbles) - 1))
+        flip = data.draw(st.integers(1, 15))
+        s = MiiNibbleStream(nibbles[:i] + bytes([nibbles[i] ^ flip]) + nibbles[i + 1:])
+        assert validate_frame(s) == stepped_verdict(s)
 
 
 # ---------------------------------------------------------------------------
