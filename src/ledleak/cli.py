@@ -3,7 +3,7 @@
 Subcommands tie the simulator, recovery, MAC and diode pieces into
 reproducible experiments. All randomness flows from one explicit ``--seed``
 and every run with identical flags and seed produces byte-identical output
-files. Exit codes: 0 success, 1 configuration/IO error, 2 no signal,
+files. Exit codes: 0 success, 1 usage/configuration/IO error, 2 no signal,
 3 unidirectionality violation.
 """
 
@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -289,8 +290,16 @@ def cmd_diode(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as :class:`ConfigError`, so they exit 1 like any
+    other bad input instead of argparse's exit 2 ("no signal" here)."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ledleak",
         description="Simulate, recover and analyse optical leakage from LED indicators.",
     )
@@ -376,9 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (NoSignalError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -133,8 +133,8 @@ class DiodeLink:
     def __post_init__(self) -> None:
         if not 0 <= self.channel_attenuation <= 1:
             raise ValueError("channel_attenuation must be in [0, 1]")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < float("inf"):
+            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
 
     def emitter_bias(self) -> float:
         return 0.0

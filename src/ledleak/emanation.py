@@ -151,6 +151,15 @@ def uart_encode(data: bytes, cfg: SerialConfig) -> LogicEventStream:
     return LogicEventStream(1, tuple(edges), duration)
 
 
+#: ``np.exp(-x)`` is exactly 0.0 for x >= 746: the smallest subnormal double is e^-744.4.
+_EXP_UNDERFLOW = 746.0
+#: Head samples per batch of whole segments: temporaries stay near 64 KiB (a
+#: single long head aside), below glibc's initial 128 KiB mmap threshold.
+#: Mapping and unmapping larger ones raises that threshold, and with it the
+#: peak RSS of whatever the process allocates next.
+_HEAD_BATCH = 8192
+
+
 def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float,
                   active_high: bool = True) -> OpticalTrace:
     """Drive an LED from a logic stream and sample its brightness.
@@ -158,8 +167,18 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float,
     Each logic level pulls the output exponentially toward ``on_level`` or
     ``off_level`` with the corresponding time constant. ``active_high``
     selects whether logic 1 lights the LED. Sampling below four samples per
-    shortest input pulse loses pulses; that only warns.
+    shortest input pulse loses pulses; that only warns. ``sample_rate``
+    must be positive and finite (``ValueError`` otherwise).
+
+    One pass over the segments between edges: a scalar recurrence gives
+    each segment's start value, every sample is filled with its segment's
+    target, and ``target + (start - target) * exp(-t / tau)`` is evaluated
+    only over each segment's head, ``t / tau < 746``. Beyond the head
+    ``exp`` underflows to exactly 0.0, so the sample is exactly ``target``
+    and the output is bit for bit that of evaluating every sample.
     """
+    if not 0 < sample_rate < float("inf"):
+        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
     shortest = line.shortest_pulse()
     if np.isfinite(shortest) and sample_rate < 4.0 / shortest:
         warnings.warn(
@@ -168,28 +187,56 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float,
             stacklevel=2,
         )
     n = int(round(line.duration * sample_rate))
-    out = np.empty(n, dtype=np.float64)
-    bounds = (0.0,) + line.edges + (line.duration,)
-    level = line.initial_level
-    lit = level if active_high else 1 - level
-    # The line held its initial level forever before t=0: start at steady state.
-    value = led.on_level if lit else led.off_level
-    idx = 0
-    for j in range(len(bounds) - 1):
-        a, b = bounds[j], bounds[j + 1]
-        if j > 0:
-            level ^= 1
-        lit = level if active_high else 1 - level
-        target = led.on_level if lit else led.off_level
-        tau = led.rise_time if target > value else led.fall_time
-        hi = min(n, int(np.ceil(b * sample_rate - 1e-9)))
-        if hi > idx:
-            t = np.arange(idx, hi) / sample_rate - a
-            out[idx:hi] = target + (value - target) * np.exp(-t / tau)
-            idx = hi
-        value = target + (value - target) * np.exp(-(b - a) / tau)
-    if idx < n:
-        out[idx:] = value
+    bounds = np.array((0.0,) + line.edges + (line.duration,))
+    starts_at = bounds[:-1]
+    seconds = np.diff(bounds)
+    first_lit = line.initial_level if active_high else 1 - line.initial_level
+    lit = (np.arange(seconds.size) + first_lit) % 2 == 1
+    target = np.where(lit, led.on_level, led.off_level)
+    rise_decay = np.exp(-seconds / led.rise_time).tolist()
+    fall_decay = np.exp(-seconds / led.fall_time).tolist()
+
+    # Segment start values, in Python floats (IEEE doubles) so every step
+    # rounds exactly as a per-segment loop would; the LED rises whenever
+    # its target lies above the present value. The line held its initial
+    # level forever before t=0, so it starts at steady state.
+    start: list[float] = []
+    rising: list[bool] = []
+    value = led.on_level if first_lit else led.off_level
+    for tgt, up, down in zip(target.tolist(), rise_decay, fall_decay):
+        start.append(value)
+        rising.append(tgt > value)
+        value = tgt + (value - tgt) * (up if rising[-1] else down)
+    tau = np.where(rising, led.rise_time, led.fall_time)
+    start_minus_target = np.asarray(start) - target
+
+    # Samples [lo, hi) belong to a segment (empty if it is too short to own
+    # one); after the last segment the trace holds its final value.
+    hi = np.minimum(n, np.ceil(bounds[1:] * sample_rate - 1e-9)).astype(np.int64)
+    lo = np.concatenate(([0], hi[:-1]))
+    out = np.repeat(np.append(target, value), np.append(hi - lo, n - hi[-1]))
+
+    # One sample of slack past the underflow point absorbs rounding in t.
+    head_end = np.minimum(hi, np.ceil((starts_at + _EXP_UNDERFLOW * tau) * sample_rate) + 1)
+    head_len = (head_end - lo).astype(np.int64)
+    seg = np.flatnonzero(head_len)
+    cuts = np.searchsorted(np.cumsum(head_len[seg]),
+                           np.arange(_HEAD_BATCH, head_len.sum(), _HEAD_BATCH))
+    for part in np.split(seg, cuts):
+        counts = head_len[part]
+        owner = np.repeat(part, counts)
+        idx = np.arange(owner.size)
+        idx += np.repeat(lo[part] - (np.cumsum(counts) - counts), counts)
+        # In place, to keep temporaries few; IEEE + and * commute and
+        # (-t) / tau == t / -tau, so the bits are those of
+        # target + (start - target) * exp(-t / tau).
+        x = idx / sample_rate
+        x -= starts_at[owner]
+        x /= -tau[owner]
+        np.exp(x, out=x)
+        x *= start_minus_target[owner]
+        x += target[owner]
+        out[idx] = x
     return OpticalTrace(sample_rate, out)
 
 

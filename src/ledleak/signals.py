@@ -37,8 +37,8 @@ class SerialConfig:
     idle_between_octets: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.baud > 0:
-            raise ConfigError(f"baud must be positive, got {self.baud}")
+        if not 0 < self.baud < float("inf"):
+            raise ConfigError(f"baud must be positive and finite, got {self.baud}")
         if self.data_bits not in (7, 8):
             raise ConfigError(f"data_bits must be 7 or 8, got {self.data_bits}")
         if self.parity not in _PARITIES:

@@ -123,6 +123,38 @@ def exp_approach(v0: float, target: float, tau: float, t: float) -> float:
     return target + (v0 - target) * math.exp(-t / tau)
 
 
+def led_transduce_loop(line, led, sample_rate: float, active_high: bool = True) -> np.ndarray:
+    """LED brightness samples, one segment between edges at a time.
+
+    Evaluates the exponential at every sample of every segment; the
+    vectorised ``led_transduce`` must match it byte for byte.
+    """
+    n = int(round(line.duration * sample_rate))
+    out = np.empty(n, dtype=np.float64)
+    bounds = (0.0,) + line.edges + (line.duration,)
+    level = line.initial_level
+    lit = level if active_high else 1 - level
+    # The line held its initial level forever before t=0: start at steady state.
+    value = led.on_level if lit else led.off_level
+    idx = 0
+    for j in range(len(bounds) - 1):
+        a, b = bounds[j], bounds[j + 1]
+        if j > 0:
+            level ^= 1
+        lit = level if active_high else 1 - level
+        target = led.on_level if lit else led.off_level
+        tau = led.rise_time if target > value else led.fall_time
+        hi = min(n, int(np.ceil(b * sample_rate - 1e-9)))
+        if hi > idx:
+            t = np.arange(idx, hi) / sample_rate - a
+            out[idx:hi] = target + (value - target) * np.exp(-t / tau)
+            idx = hi
+        value = target + (value - target) * np.exp(-(b - a) / tau)
+    if idx < n:
+        out[idx:] = value
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Hamming distance over octet sequences (definition oracle)
 # ---------------------------------------------------------------------------

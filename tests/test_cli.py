@@ -291,3 +291,46 @@ class TestExperimentConfig:
         code, stdout, _ = run(capsys, "recover",
                               str(tmp_path / "o" / "trace.optrace"), "--baud", "9600")
         assert bytes.fromhex(json.loads(stdout)["octets_hex"]) == b"FLAGDATA"
+
+
+class TestInputContract:
+    """Bad flags end in exit 1 with one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("rate", ["inf", "nan", "0"])
+    def test_bad_sample_rate_exits_config(self, tmp_path, capsys, rate):
+        out = tmp_path / "s"
+        code, stdout, err = run(capsys, "synth", "--sample-rate", rate, "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert "sample_rate" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "diode"])
+    def test_infinite_baud_exits_config(self, tmp_path, capsys, command):
+        out = tmp_path / "s"
+        code, stdout, err = run(capsys, command, "--baud", "inf", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert "baud" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["mac", "build", "--src", "01"],
+        ["synth", "--bogus"],
+        ["synth", "--sigma", "abc"],
+        ["frobnicate"],
+        [],
+    ])
+    def test_usage_error_exits_config(self, capsys, argv):
+        code, stdout, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mac", "build", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ledleak mac build")

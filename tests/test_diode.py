@@ -168,6 +168,11 @@ class TestDiodeSend:
         report, _ = diode_send(frames, weak, NOISE)
         assert report.frames_accepted == 0
 
+    @pytest.mark.parametrize("sample_rate", [0.0, -1.0, float("inf"), float("nan")])
+    def test_link_rejects_bad_sample_rate(self, sample_rate):
+        with pytest.raises(ValueError, match="sample_rate"):
+            DiodeLink(sample_rate=sample_rate)
+
     def test_report_invariant(self):
         with pytest.raises(ValueError):
             LinkReport(3, 1, 1, (), "00")

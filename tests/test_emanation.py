@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ledleak.diode
+import ledleak.emanation
+from ledleak.diode import DiodeLink, diode_send
 from ledleak.emanation import (
     DeviceProfile,
     DriveConfig,
@@ -25,10 +28,13 @@ from ledleak.signals import LogicEventStream, NoiseModel, OpticalTrace, SerialCo
 from oracles import (
     envelope_intervals,
     exp_approach,
+    led_transduce_loop,
     stretch_intervals,
     uart_cells,
     uart_edges_from_cells,
 )
+
+from test_acceptance import _random_frames
 
 CFG = SerialConfig(baud=9600)
 BIT = CFG.bit_time
@@ -137,6 +143,64 @@ class TestLedTransduce:
         line = uart_encode(b"\x55", CFG)  # 104 us pulses
         with pytest.warns(UserWarning):
             led_transduce(line, LedModel(), 20e3)
+
+    @pytest.mark.parametrize("sample_rate", [0.0, -1e6, float("inf"), float("nan")])
+    def test_rejects_bad_sample_rate(self, sample_rate):
+        line = uart_encode(b"\x55", CFG)
+        with pytest.raises(ValueError, match="sample_rate"):
+            led_transduce(line, LedModel(), sample_rate)
+
+
+@st.composite
+def transduce_cases(draw):
+    """Edge streams, LED models, sample rates and polarities of any shape,
+    including edges one ulp apart (segments far shorter than tau)."""
+    sample_rate = draw(st.floats(1e3, 1e9))
+    duration = draw(st.floats(0.0, 2000.0)) / sample_rate
+    edges = {f * duration for f in draw(st.lists(st.floats(0.0, 1.0), max_size=30))}
+    for e in sorted(edges)[:draw(st.integers(0, 3))]:
+        edges.add(float(np.nextafter(e, np.inf)))
+    line = LogicEventStream(draw(st.sampled_from((0, 1))),
+                            tuple(sorted(e for e in edges if e <= duration)), duration)
+    off = draw(st.floats(0.0, 1.0, exclude_max=True))
+    on = draw(st.floats(off, 1.0, exclude_min=True))
+    rise, fall = (10.0 ** draw(st.floats(-9.0, -3.0)) for _ in range(2))
+    return line, LedModel(rise, fall, on, off), sample_rate, draw(st.booleans())
+
+
+def _loop_transduce(line, led, sample_rate, active_high=True):
+    return OpticalTrace(sample_rate, led_transduce_loop(line, led, sample_rate, active_high))
+
+
+class TestLedTransduceMatchesLoop:
+    """The vectorised pass against the per-segment loop, byte for byte."""
+
+    @pytest.mark.filterwarnings("ignore:sample_rate")
+    @given(transduce_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_property(self, case):
+        line, led, sample_rate, active_high = case
+        fast = led_transduce(line, led, sample_rate, active_high).samples
+        assert fast.tobytes() == led_transduce_loop(line, led, sample_rate, active_high).tobytes()
+
+    def test_criterion_7_emitter_digest(self, monkeypatch):
+        frames = _random_frames(np.random.default_rng(7), 100, max_payload=96)
+        link = DiodeLink(channel_attenuation=0.8)
+        noise = NoiseModel(0.01, 0.005, 7)
+        fast, _ = diode_send(frames, link, noise)
+        monkeypatch.setattr(ledleak.diode, "led_transduce", _loop_transduce)
+        slow, _ = diode_send(frames, link, noise)
+        assert fast.frames_accepted == 100
+        assert fast == slow
+
+    def test_criterion_2_trace_bytes(self, monkeypatch):
+        payload = np.random.default_rng(2).bytes(1024)
+        profile = DeviceProfile(EmanationClass.CONTENT, LedModel(), DriveConfig(serial=CFG))
+        noise = NoiseModel(0.05, 0.01, 99)
+        fast = synthesize_class(profile, payload, noise, 1_000_000.0).samples
+        monkeypatch.setattr(ledleak.emanation, "led_transduce", _loop_transduce)
+        slow = synthesize_class(profile, payload, noise, 1_000_000.0).samples
+        assert fast.tobytes() == slow.tobytes()
 
 
 # ---------------------------------------------------------------------------

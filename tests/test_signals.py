@@ -19,6 +19,7 @@ class TestSerialConfig:
     @pytest.mark.parametrize("kwargs", [
         {"baud": 0}, {"baud": -9600}, {"data_bits": 9}, {"data_bits": 5},
         {"parity": "mark"}, {"stop_bits": 3}, {"idle_between_octets": -1e-3},
+        {"baud": float("inf")}, {"baud": float("nan")},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ConfigError):
