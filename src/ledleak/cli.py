@@ -50,8 +50,8 @@ class ExperimentConfig:
     hysteresis: float = 0.2
 
     def to_file(self, path: str | Path) -> None:
-        lines = [f"{f.name}={getattr(self, f.name)}" for f in dataclasses.fields(self)]
-        formats.atomic_write_text(path, "\n".join(lines) + "\n")
+        formats.atomic_write_text(
+            path, (f"{f.name}={getattr(self, f.name)}\n" for f in dataclasses.fields(self)))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -148,7 +148,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     trace = formats.read_trace(args.trace_file)
     cfg = _load_config(args)
-    serial = SerialConfig(baud=float(cfg.baud), idle_between_octets=cfg.gap_ms / 1000.0)
+    serial = _serial_config(cfg)
     report = recovery.classify_trace(trace, _payload_octets(cfg), serial,
                                      window=cfg.window_ms / 1000.0,
                                      hysteresis_fraction=cfg.hysteresis)
@@ -192,9 +192,9 @@ def cmd_sweep_stretch(args: argparse.Namespace) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep_stretch.csv"
-    lines = ["min_on_s,ber,mi_bits"]
-    lines.extend(f"{r['min_on_s']!r},{r['ber']!r},{r['mi_bits']!r}" for r in rows)
-    formats.atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    lines = ["min_on_s,ber,mi_bits\n"]
+    lines.extend(f"{r['min_on_s']!r},{r['ber']!r},{r['mi_bits']!r}\n" for r in rows)
+    formats.atomic_write_text(csv_path, lines)
     print(csv_path)
 
     bers = [r["ber"] for r in rows]

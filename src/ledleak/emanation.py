@@ -96,10 +96,11 @@ class DriveConfig:
     state_duration: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.pulse_stretch < 0:
-            raise ConfigError("pulse_stretch must be >= 0")
-        if not self.activity_window > 0:
-            raise ConfigError("activity_window must be positive")
+        if not 0 <= self.pulse_stretch < float("inf"):
+            raise ConfigError(f"pulse_stretch must be >= 0 and finite, got {self.pulse_stretch}")
+        if not 0 < self.activity_window < float("inf"):
+            raise ConfigError(
+                f"activity_window must be positive and finite, got {self.activity_window}")
         if not self.state_schedule:
             raise ConfigError("state_schedule must not be empty")
         prev = -1.0
@@ -240,22 +241,36 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float,
     return OpticalTrace(sample_rate, out)
 
 
-def intervals_to_stream(intervals: list, duration: float,
-                        on_before_start: bool = False) -> LogicEventStream:
-    """Rebuild a logic stream from disjoint ON intervals.
+#: Absorbs the float residue of interval arithmetic (seconds).
+MERGE_SLACK = 1e-12
 
-    ``on_before_start`` records whether an interval beginning at t=0 was
-    already ON before the stream began (folded into the initial level)
-    rather than switching ON at t=0 (kept as an edge); the distinction
-    matters to anything modelling pre-history, like LED steady state.
+
+def union_stream(intervals, duration: float, on_before_start: bool,
+                 gap: float = MERGE_SLACK) -> LogicEventStream:
+    """Logic stream ON over the union of ``intervals``, ``(start, end)``
+    pairs sorted by start.
+
+    An interval joins the union so far when ``start - end <= gap``; for
+    nearby times the subtraction is exact, so only gaps up to ``gap`` close.
+    ``duration`` extends to the last end. ``on_before_start`` records
+    whether an interval beginning at t=0 was already ON before the stream
+    began (folded into the initial level) rather than switching ON at t=0
+    (kept as an edge); the distinction matters to anything modelling
+    pre-history, like LED steady state.
     """
+    # Alternating start and end times; the last entry is the open end.
     edges: list[float] = []
     for s, e in intervals:
-        edges.append(s)
-        if e < duration:
-            edges.append(e)
+        if edges and s - edges[-1] <= gap:
+            edges[-1] = max(edges[-1], e)
+        else:
+            edges += (s, e)
+    if edges:
+        duration = max(duration, edges[-1])
+        if edges[-1] == duration:
+            edges.pop()
     initial = 0
-    if edges and edges[0] == 0.0 and on_before_start:
+    if on_before_start and edges and edges[0] == 0.0:
         edges.pop(0)
         initial = 1
     return LogicEventStream(initial, tuple(edges), duration)
@@ -267,26 +282,17 @@ def apply_pulse_stretch(line: LogicEventStream, min_on: float) -> LogicEventStre
     Extensions that reach into a later ON interval merge with it. This is
     the PHY countermeasure that makes high-speed activity visible to human
     eyes while destroying bit-level content. ``min_on = 0`` is the identity
-    (stretching turned off).
+    (stretching turned off); ``min_on`` must be finite.
     """
-    if min_on < 0:
-        raise ValueError("min_on must be >= 0")
+    if not 0 <= min_on < float("inf"):
+        raise ValueError(f"min_on must be >= 0 and finite, got {min_on}")
     if min_on == 0:
         return line
     ivs = line.intervals(1)
     if not ivs:
         return line
-    merged: list[list[float]] = []
-    for s, e in ivs:
-        e = max(e, s + min_on)
-        # Merge with picosecond tolerance so float rounding of interval
-        # arithmetic cannot leave degenerate sub-sample gaps behind.
-        if merged and s <= merged[-1][1] + 1e-12:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    duration = max(line.duration, merged[-1][1])
-    return intervals_to_stream(merged, duration, line.initial_level == 1)
+    return union_stream(((s, max(e, s + min_on)) for s, e in ivs),
+                        line.duration, line.initial_level == 1)
 
 
 def activity_envelope(line: LogicEventStream, window: float) -> LogicEventStream:
@@ -296,20 +302,11 @@ def activity_envelope(line: LogicEventStream, window: float) -> LogicEventStream
     Output intervals are the union of ``[edge, edge + window]`` over all
     input edges, so bit-level content is unrecoverable by construction.
     """
-    if not window > 0:
-        raise ValueError("window must be positive")
-    if not line.edges:
-        return LogicEventStream(0, (), line.duration)
-    merged: list[list[float]] = []
-    for e in line.edges:
-        s, t = e, e + window
-        if merged and s <= merged[-1][1] + 1e-12:
-            merged[-1][1] = max(merged[-1][1], t)
-        else:
-            merged.append([s, t])
-    duration = max(line.duration, merged[-1][1])
+    if not 0 < window < float("inf"):
+        raise ValueError(f"window must be positive and finite, got {window}")
     # Activity begins at an edge, so an interval at t=0 switches ON at 0.
-    return intervals_to_stream(merged, duration, on_before_start=False)
+    return union_stream(((e, e + window) for e in line.edges), line.duration,
+                        on_before_start=False)
 
 
 def add_noise(trace: OpticalTrace, noise: NoiseModel) -> OpticalTrace:

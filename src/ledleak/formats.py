@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +22,14 @@ TRACE_MAGIC = "# optrace v1"
 EVENTS_MAGIC = "# optevents v1"
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+def atomic_write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write text chunks via a temp file in the same directory, then rename
+    into place, so readers see the old file or the whole new one."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -52,10 +55,16 @@ def _header_fields(line: str, magic: str) -> dict[str, str]:
     return fields
 
 
+#: Samples formatted per chunk: bounds the text held in memory at once.
+_TRACE_BLOCK = 65536
+
+
 def write_trace(path: str | Path, trace: OpticalTrace) -> None:
-    lines = [f"{TRACE_MAGIC} sample_rate_hz={trace.sample_rate!r} origin_s={trace.origin_time!r}"]
-    lines.extend(repr(float(v)) for v in trace.samples)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = f"{TRACE_MAGIC} sample_rate_hz={trace.sample_rate!r} origin_s={trace.origin_time!r}\n"
+    s = trace.samples
+    blocks = ("\n".join(map(repr, s[i:i + _TRACE_BLOCK].tolist())) + "\n"
+              for i in range(0, s.size, _TRACE_BLOCK))
+    atomic_write_text(path, chain((header,), blocks))
 
 
 def read_trace(path: str | Path) -> OpticalTrace:
@@ -66,9 +75,8 @@ def read_trace(path: str | Path) -> OpticalTrace:
 
 
 def write_events(path: str | Path, events: LogicEventStream) -> None:
-    lines = [f"{EVENTS_MAGIC} initial={events.initial_level} duration_s={events.duration!r}"]
-    lines.extend(repr(float(t)) for t in events.edges)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = f"{EVENTS_MAGIC} initial={events.initial_level} duration_s={events.duration!r}\n"
+    atomic_write_text(path, chain((header,), (f"{t!r}\n" for t in events.edges)))
 
 
 def read_events(path: str | Path) -> LogicEventStream:

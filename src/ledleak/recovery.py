@@ -17,8 +17,8 @@ from .emanation import (
     DEFAULT_ACTIVITY_WINDOW,
     EmanationClass,
     activity_envelope,
-    intervals_to_stream,
     uart_encode,
+    union_stream,
 )
 from .errors import EstimationError, NoSignalError
 from .signals import STANDARD_BAUDS, LogicEventStream, OpticalTrace, SerialConfig
@@ -206,21 +206,6 @@ def _pearson01(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, max(0.0, r))
 
 
-def _trace_activity(events: LogicEventStream, window: float) -> LogicEventStream:
-    """ON intervals of a thresholded trace with sub-window gaps closed.
-
-    Collapses fast toggling into bursts without padding slow signals, so
-    an envelope-shaped trace maps onto itself.
-    """
-    merged: list[list[float]] = []
-    for s, e in events.intervals(1):
-        if merged and s - merged[-1][1] <= window:
-            merged[-1][1] = e
-        else:
-            merged.append([s, e])
-    return intervals_to_stream(merged, events.duration, events.initial_level == 1)
-
-
 def classify_trace(trace: OpticalTrace, reference: bytes, cfg: SerialConfig,
                    window: float = DEFAULT_ACTIVITY_WINDOW,
                    hysteresis_fraction: float = 0.2) -> ClassificationReport:
@@ -244,7 +229,11 @@ def classify_trace(trace: OpticalTrace, reference: bytes, cfg: SerialConfig,
     score_content = matches / len(reference)
 
     t = np.arange(trace.samples.size) / trace.sample_rate
-    trace_env = _trace_activity(events, window)
+    # Close sub-window gaps between ON intervals: fast toggling collapses
+    # into bursts without padding slow signals, so an envelope-shaped trace
+    # maps onto itself.
+    trace_env = union_stream(events.intervals(1), events.duration,
+                             events.initial_level == 1, gap=window)
     ref_env = activity_envelope(uart_encode(reference, cfg), window)
     score_activity = _pearson01(trace_env.levels_at(t), ref_env.levels_at(t))
 

@@ -45,8 +45,9 @@ class SerialConfig:
             raise ConfigError(f"parity must be one of {_PARITIES}, got {self.parity!r}")
         if self.stop_bits not in (1, 2):
             raise ConfigError(f"stop_bits must be 1 or 2, got {self.stop_bits}")
-        if self.idle_between_octets < 0:
-            raise ConfigError("idle_between_octets must be >= 0")
+        if not 0 <= self.idle_between_octets < float("inf"):
+            raise ConfigError(
+                f"idle_between_octets must be >= 0 and finite, got {self.idle_between_octets}")
 
     @property
     def bit_time(self) -> float:
@@ -73,7 +74,7 @@ class LogicEventStream:
 
     An edge at time ``t`` means the level flips at ``t`` and the new level
     holds for all later instants (right-continuous). All timestamps are in
-    seconds within ``[0, duration]``.
+    seconds within ``[0, duration]``, and ``duration`` is finite.
     """
 
     initial_level: int
@@ -83,8 +84,8 @@ class LogicEventStream:
     def __post_init__(self) -> None:
         if self.initial_level not in (0, 1):
             raise ValueError(f"initial_level must be 0 or 1, got {self.initial_level}")
-        if not self.duration >= 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
+        if not 0 <= self.duration < float("inf"):
+            raise ValueError(f"duration must be >= 0 and finite, got {self.duration}")
         edges = tuple(float(t) for t in self.edges)
         object.__setattr__(self, "edges", edges)
         if edges:

@@ -116,6 +116,71 @@ def envelope_intervals(edges: list[float], window: float) -> list[tuple[float, f
 
 
 # ---------------------------------------------------------------------------
+# Interval-merge loops (one per caller, before they shared one union)
+# ---------------------------------------------------------------------------
+# Each returns the stream as (initial_level, edges, duration).
+
+def intervals_to_triple(intervals: list, duration: float,
+                        on_before_start: bool = False) -> tuple[int, tuple, float]:
+    """Stream ON over disjoint intervals; an interval at t=0 folds into the
+    initial level when ``on_before_start``."""
+    edges: list[float] = []
+    for s, e in intervals:
+        edges.append(s)
+        if e < duration:
+            edges.append(e)
+    initial = 0
+    if edges and edges[0] == 0.0 and on_before_start:
+        edges.pop(0)
+        initial = 1
+    return initial, tuple(edges), duration
+
+
+def pulse_stretch_loop(line, min_on: float) -> tuple[int, tuple, float]:
+    """Pulse stretching, merging when ``s <= end + 1e-12``."""
+    ivs = line.intervals(1)
+    if min_on == 0 or not ivs:
+        return line.initial_level, line.edges, line.duration
+    merged: list[list[float]] = []
+    for s, e in ivs:
+        e = max(e, s + min_on)
+        # Merge with picosecond tolerance so float rounding of interval
+        # arithmetic cannot leave degenerate sub-sample gaps behind.
+        if merged and s <= merged[-1][1] + 1e-12:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    duration = max(line.duration, merged[-1][1])
+    return intervals_to_triple(merged, duration, line.initial_level == 1)
+
+
+def activity_envelope_loop(line, window: float) -> tuple[int, tuple, float]:
+    """Union of [edge, edge + window], merging when ``s <= end + 1e-12``."""
+    if not line.edges:
+        return 0, (), line.duration
+    merged: list[list[float]] = []
+    for e in line.edges:
+        s, t = e, e + window
+        if merged and s <= merged[-1][1] + 1e-12:
+            merged[-1][1] = max(merged[-1][1], t)
+        else:
+            merged.append([s, t])
+    duration = max(line.duration, merged[-1][1])
+    return intervals_to_triple(merged, duration, on_before_start=False)
+
+
+def trace_activity_loop(events, window: float) -> tuple[int, tuple, float]:
+    """Classifier envelope: ON intervals with gaps ``s - end <= window`` closed."""
+    merged: list[list[float]] = []
+    for s, e in events.intervals(1):
+        if merged and s - merged[-1][1] <= window:
+            merged[-1][1] = e
+        else:
+            merged.append([s, e])
+    return intervals_to_triple(merged, events.duration, events.initial_level == 1)
+
+
+# ---------------------------------------------------------------------------
 # First-order LED step response (closed form)
 # ---------------------------------------------------------------------------
 

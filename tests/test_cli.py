@@ -316,6 +316,30 @@ class TestInputContract:
         assert "baud" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, field", [
+        (["synth", "--class", "II", "--window-ms", "inf"], "activity_window"),
+        (["synth", "--gap-ms", "inf", "--data", "AB"], "idle_between_octets"),
+        (["sweep-stretch", "--stretch-us", "inf"], "pulse_stretch"),
+        (["sweep-stretch", "--stretch-us", "nan,0"], "pulse_stretch"),
+    ])
+    def test_non_finite_time_exits_config(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "s"
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert field in err
+        assert not out.exists()
+
+    def test_classify_baud_auto_exits_config(self, tmp_path, capsys):
+        path = tmp_path / "t.optrace"
+        write_trace(path, OpticalTrace(1e4, np.linspace(0.0, 1.0, 8)))
+        code, stdout, err = run(capsys, "classify", str(path), "--baud", "auto")
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert "baud 'auto' is only valid for the recover subcommand" in err
+
     @pytest.mark.parametrize("argv", [
         ["mac", "build", "--src", "01"],
         ["synth", "--bogus"],

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,16 +21,20 @@ from ledleak.emanation import (
     led_transduce,
     synthesize_class,
     uart_encode,
+    union_stream,
 )
 from ledleak.errors import ConfigError
 from ledleak.recovery import recover_data, threshold_detect, uart_decode
 from ledleak.signals import LogicEventStream, NoiseModel, OpticalTrace, SerialConfig
 
 from oracles import (
+    activity_envelope_loop,
     envelope_intervals,
     exp_approach,
     led_transduce_loop,
+    pulse_stretch_loop,
     stretch_intervals,
+    trace_activity_loop,
     uart_cells,
     uart_edges_from_cells,
 )
@@ -270,6 +275,11 @@ class TestPulseStretch:
         with pytest.raises(ValueError):
             apply_pulse_stretch(LogicEventStream(0, (), 1.0), -1.0)
 
+    @pytest.mark.parametrize("min_on", [math.inf, math.nan])
+    def test_non_finite_rejected(self, min_on):
+        with pytest.raises(ValueError, match="min_on"):
+            apply_pulse_stretch(LogicEventStream(0, (0.5,), 1.0), min_on)
+
 
 # ---------------------------------------------------------------------------
 # activity_envelope
@@ -309,6 +319,88 @@ class TestActivityEnvelope:
         env = activity_envelope(line, 10e-3)
         result = uart_decode(env, CFG)
         assert result.octets != b"SECRET"
+
+    @pytest.mark.parametrize("window", [math.inf, math.nan])
+    def test_window_must_be_finite(self, window):
+        with pytest.raises(ValueError, match="window"):
+            activity_envelope(LogicEventStream(0, (0.5,), 1.0), window)
+
+
+# ---------------------------------------------------------------------------
+# union_stream: the one interval merge, pinned to the loops it replaced
+# ---------------------------------------------------------------------------
+
+def triple(line: LogicEventStream) -> tuple:
+    return line.initial_level, line.edges, line.duration
+
+
+@st.composite
+def edge_streams(draw):
+    """Arbitrary streams; the first edge may sit at t=0, the last at duration."""
+    first = draw(st.floats(0, 1e-2))
+    gaps = draw(st.lists(st.floats(1e-9, 1e-2), max_size=20))
+    edges = tuple(itertools.accumulate([first] + gaps)) if draw(st.booleans()) else ()
+    tail = draw(st.floats(0, 1e-2))
+    return LogicEventStream(draw(st.integers(0, 1)), edges, (edges[-1] if edges else 0.0) + tail)
+
+
+@st.composite
+def sample_grid_streams(draw):
+    """``(stream, window)``: edges on a sample grid, as thresholding leaves
+    them, with runs of exactly the window and one sample either side."""
+    fs = draw(st.sampled_from([9600.0, 48e3, 153600.0, 1e6, 1_843_200.0, 1e7, 2.5e7]))
+    window = draw(st.sampled_from([1e-4, 1e-3, 2.5e-3, 10e-3]))
+    n_win = round(window * fs)
+    runs = draw(st.lists(st.one_of(st.integers(1, 3 * n_win),
+                                   st.sampled_from([max(1, n_win - 1), n_win, n_win + 1])),
+                         max_size=20))
+    idx = list(itertools.accumulate(runs, initial=draw(st.integers(0, 3))))
+    edges = tuple(i / fs for i in idx)
+    end = idx[-1] + draw(st.integers(0, n_win + 1))
+    return LogicEventStream(draw(st.integers(0, 1)), edges, end / fs), window
+
+
+class TestUnionStream:
+    @given(edge_streams(), st.floats(1e-9, 1e-2))
+    @settings(max_examples=300, deadline=None)
+    def test_activity_envelope_matches_loop(self, line, window):
+        assert triple(activity_envelope(line, window)) == activity_envelope_loop(line, window)
+
+    @given(st.one_of(sample_grid_streams(),
+                     st.tuples(edge_streams(), st.floats(1e-9, 1e-2))))
+    @settings(max_examples=300, deadline=None)
+    def test_classifier_envelope_matches_loop(self, stream_and_window):
+        # The call classify_trace makes on the thresholded events.
+        events, window = stream_and_window
+        env = union_stream(events.intervals(1), events.duration,
+                           events.initial_level == 1, gap=window)
+        assert triple(env) == trace_activity_loop(events, window)
+
+    @given(st.lists(st.integers(1, 50), max_size=20), st.integers(0, 3),
+           st.integers(0, 100), st.integers(0, 1), st.integers(0, 50))
+    @settings(max_examples=300, deadline=None)
+    def test_pulse_stretch_matches_loop_on_us_grid(self, runs, first, min_on_us, initial, tail):
+        ticks = list(itertools.accumulate(runs, initial=first))
+        line = LogicEventStream(initial, tuple(k * 1e-6 for k in ticks), (ticks[-1] + tail) * 1e-6)
+        min_on = min_on_us * 1e-6
+        assert triple(apply_pulse_stretch(line, min_on)) == pulse_stretch_loop(line, min_on)
+
+    @pytest.mark.parametrize("gap, n_intervals", [(0.5e-12, 1), (2e-12, 2)])
+    def test_merge_slack_boundary(self, gap, n_intervals):
+        # A gap under MERGE_SLACK is float residue and closes; one over it stays.
+        min_on = 1e-4
+        line = LogicEventStream(0, (1e-3, 1e-3 + 1e-6, 1e-3 + min_on + gap, 1.2e-3), 2e-3)
+        assert len(apply_pulse_stretch(line, min_on).intervals(1)) == n_intervals
+
+    def test_user_gap_is_not_float_residue(self):
+        # 0x55 lights every other bit cell. 208.333 us is 0.33 ns short of two
+        # bit times at 9600 baud: a user-chosen gap, kept. 2 * BIT closes all.
+        line = uart_encode(b"\x55", CFG).invert()
+        ivs = apply_pulse_stretch(line, 208.333e-6).intervals(1)
+        gaps = [b[0] - a[1] for a, b in zip(ivs, ivs[1:])]
+        assert len(gaps) == 4
+        assert all(0.3e-9 < g < 0.4e-9 for g in gaps)
+        assert len(apply_pulse_stretch(line, 2 * BIT).intervals(1)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +496,16 @@ class TestSynthesizeClass:
         with pytest.raises(ConfigError):
             EmanationClass.from_label("IV")
         assert EmanationClass.CONTENT.risk_rank > EmanationClass.ACTIVITY.risk_rank
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"pulse_stretch": math.inf}, "pulse_stretch"),
+        ({"pulse_stretch": math.nan}, "pulse_stretch"),
+        ({"activity_window": math.inf}, "activity_window"),
+        ({"activity_window": math.nan}, "activity_window"),
+    ])
+    def test_drive_config_rejects_non_finite(self, kwargs, field):
+        with pytest.raises(ConfigError, match=field):
+            DriveConfig(serial=CFG, **kwargs)
 
     def test_led_model_validation(self):
         with pytest.raises(ValueError):

@@ -69,6 +69,13 @@ class TestTraceFiles:
         write_trace(b, tr)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_blocks_join_into_one_line_per_sample(self, tmp_path):
+        samples = np.random.default_rng(2).normal(0.5, 0.1, 2 * 65536 + 3)
+        path = tmp_path / "t.optrace"
+        write_trace(path, OpticalTrace(1e6, samples, origin_time=0.5))
+        header = "# optrace v1 sample_rate_hz=1000000.0 origin_s=0.5\n"
+        assert path.read_text() == header + "".join(repr(v) + "\n" for v in samples.tolist())
+
     def test_no_temp_files_left(self, tmp_path):
         write_trace(tmp_path / "x.optrace", OpticalTrace(1.0, np.zeros(3)))
         assert [p.name for p in tmp_path.iterdir()] == ["x.optrace"]
@@ -93,6 +100,12 @@ class TestEventFiles:
         write_events(path, LogicEventStream(0, (0.25,), 1.0))
         drop_header_key(path, key)
         with pytest.raises(ValueError, match=key):
+            read_events(path)
+
+    def test_infinite_duration_rejected(self, tmp_path):
+        path = tmp_path / "e.optevents"
+        path.write_text("# optevents v1 initial=0 duration_s=inf\n0.25\n")
+        with pytest.raises(ValueError, match="duration"):
             read_events(path)
 
 

@@ -20,6 +20,7 @@ class TestSerialConfig:
         {"baud": 0}, {"baud": -9600}, {"data_bits": 9}, {"data_bits": 5},
         {"parity": "mark"}, {"stop_bits": 3}, {"idle_between_octets": -1e-3},
         {"baud": float("inf")}, {"baud": float("nan")},
+        {"idle_between_octets": float("inf")}, {"idle_between_octets": float("nan")},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ConfigError):
@@ -75,6 +76,11 @@ class TestLogicEventStream:
     def test_rejects_bad_edges(self, edges):
         with pytest.raises(ValueError):
             LogicEventStream(0, edges, 5.0)
+
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan"), -1.0])
+    def test_rejects_bad_duration(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            LogicEventStream(0, (), duration)
 
     def test_rejects_bad_initial(self):
         with pytest.raises(ValueError):
