@@ -71,7 +71,11 @@ class ExperimentConfig:
             if key not in types:
                 raise ConfigError(f"unknown config key {key!r}")
             cast = {"int": int, "float": float, "str": str}[types[key]]
-            setattr(cfg, key, cast(value))
+            try:
+                setattr(cfg, key, cast(value))
+            except ValueError:
+                raise ConfigError(f"config key {key!r} in {path}: expected {types[key]}, "
+                                  f"got {value!r}") from None
         return cfg
 
     def merged_with(self, args: argparse.Namespace) -> "ExperimentConfig":

@@ -133,23 +133,25 @@ def uart_encode(data: bytes, cfg: SerialConfig) -> LogicEventStream:
     Each octet is one start bit (space), LSB-first data bits, an optional
     parity bit and the configured stop bits. Transmission begins at t=0;
     the stream ends with at least one bit time of trailing idle.
+
+    The cells form one row per octet. Read row after row from idle mark,
+    each change of level is an edge; cell ``k`` of octet ``i`` starts at
+    ``i * frame_time + k * bit_time``.
     """
     bit = cfg.bit_time
-    edges: list[float] = []
-    level = 1
-    for i, value in enumerate(data):
-        start = i * cfg.frame_time
-        cells = [0]
-        cells.extend((value >> k) & 1 for k in range(cfg.data_bits))
-        if cfg.parity != "none":
-            cells.append(cfg.parity_bit(value))
-        cells.extend([1] * cfg.stop_bits)
-        for k, cell in enumerate(cells):
-            if cell != level:
-                edges.append(start + k * bit)
-                level = cell
+    values = np.frombuffer(bytes(data), dtype=np.uint8)
+    data_cells = (values[:, None] >> np.arange(cfg.data_bits, dtype=np.uint8)) & 1
+    columns = [np.zeros((values.size, 1), np.uint8), data_cells]
+    if cfg.parity != "none":
+        odd = data_cells.sum(axis=1, dtype=np.uint8) & 1
+        columns.append((odd if cfg.parity == "even" else odd ^ 1)[:, None])
+    columns.append(np.ones((values.size, cfg.stop_bits), np.uint8))
+    cells = np.concatenate(columns, axis=1)
+    flips = np.flatnonzero(np.diff(cells.ravel(), prepend=np.uint8(1)))
+    octet, cell = np.divmod(flips, cells.shape[1])
+    edges = octet.astype(np.float64) * cfg.frame_time + cell.astype(np.float64) * bit
     duration = len(data) * cfg.frame_time + bit
-    return LogicEventStream(1, tuple(edges), duration)
+    return LogicEventStream(1, tuple(edges.tolist()), duration)
 
 
 #: ``np.exp(-x)`` is exactly 0.0 for x >= 746: the smallest subnormal double is e^-744.4.

@@ -22,14 +22,23 @@ TRACE_MAGIC = "# optrace v1"
 EVENTS_MAGIC = "# optevents v1"
 
 
+def _umask() -> int:
+    """The process umask: reading it means setting it, so set it straight back."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path: str | Path, chunks: Iterable[str]) -> None:
     """Write text chunks via a temp file in the same directory, then rename
-    into place, so readers see the old file or the whole new one."""
+    into place, so readers see the old file or the whole new one. The file
+    gets the mode a plain ``open()`` would give it, ``0o666`` less the umask."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -150,12 +150,13 @@ class MiiNibbleStream:
 
 
 def octets_to_nibbles(octets: bytes) -> bytes:
-    """Split octets into MII nibbles, low nibble first."""
-    out = bytearray()
-    for b in octets:
-        out.append(b & 0xF)
-        out.append(b >> 4)
-    return bytes(out)
+    """Split octets into MII nibbles, low nibble first; inverse of
+    :func:`_nibbles_to_octets`."""
+    b = np.frombuffer(bytes(octets), dtype=np.uint8)
+    out = np.empty(2 * b.size, dtype=np.uint8)
+    out[0::2] = b & 0xF
+    out[1::2] = b >> 4
+    return out.tobytes()
 
 
 def stream_from_wire_octets(octets: bytes) -> MiiNibbleStream:
@@ -169,9 +170,6 @@ def mii_marshal(frame: EthernetFrame) -> MiiNibbleStream:
 
 
 _HUNT, _HEADER, _DATA, _DONE = range(4)
-
-#: Slot field tags, in arrival order.
-_TAGS = ("noise", "preamble", "sfd", "dst", "src", "ethertype", "data")
 
 
 class PipelineState:
@@ -379,6 +377,8 @@ def abort_transmission(stream: MiiNibbleStream, abort_at: int) -> MiiNibbleStrea
     """
     nibbles = stream.nibbles
     n = len(nibbles)
+    if n < 24:
+        raise ValueError(f"stream of {n} nibbles is too short to abort (need at least 24)")
     if not 16 <= abort_at <= n - 8:
         raise ValueError(f"abort_at {abort_at} outside legal range [16, {n - 8}]")
     sfd = _sfd_index(nibbles)

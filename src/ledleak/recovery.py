@@ -8,7 +8,6 @@ bit error rate or mutual information.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +111,7 @@ def estimate_baud(events: LogicEventStream, candidates: tuple[float, ...] | None
         raise ValueError("candidate list must not be empty")
     if len(events.edges) < 4:
         raise EstimationError(f"need at least 4 edges to estimate baud, got {len(events.edges)}")
-    deltas = np.diff(np.asarray(events.edges))
+    deltas = np.diff(events.edge_array)
     best = None
     best_score = np.inf
     for baud in sorted(candidates):
@@ -125,57 +124,65 @@ def estimate_baud(events: LogicEventStream, candidates: tuple[float, ...] | None
     return float(best)
 
 
-def _falling_edges(events: LogicEventStream) -> list[float]:
-    init = events.initial_level
-    return [t for k, t in enumerate(events.edges) if (init ^ (k & 1)) == 1]
+#: Bit-centre levels read per block of candidate starts: temporaries stay
+#: near 64 KiB however many edges a noisy trace has, as in ``led_transduce``.
+_DECODE_BATCH = 8192
 
 
 def uart_decode(events: LogicEventStream, cfg: SerialConfig) -> DecodeResult:
     """Decode an idle-mark serial line by mid-bit sampling from start edges.
 
-    A frame whose stop bits fail to read mark counts as a framing error and
-    the decoder resynchronises at the next idle-to-start edge. Errors are
-    counted, never raised.
+    Every falling edge is a candidate start bit; its cells are sampled at
+    ``ts + c * bit_time``, ``c`` = 0.5 (start), 1.5, 2.5, ... through the
+    data, parity and stop bits. A candidate whose start sample does not
+    read space is a glitch. Decoding walks the candidates from the first
+    fall: after a glitch it goes on from the first fall at or after the
+    start sample, after a frame from the first fall at or after the last
+    stop sample (both less a slack of 1e-6 bit times). The line reads mark
+    there on a good frame, so that fall is the next idle-to-start
+    transition; this also resynchronises after a framing error and is
+    immune to accumulated start-edge quantisation. A frame whose stop bits
+    fail to read mark counts as a framing error. Errors are counted, never
+    raised. The walk always moves forward, even at bit times below the
+    float resolution of the edge times.
     """
     bit = cfg.bit_time
     slack = bit * 1e-6
-    falls = _falling_edges(events)
+    falls = events.edge_array[1 - events.initial_level::2]
+    offsets = (0.5 + np.arange(cfg.frame_bits)) * bit
+    db = cfg.data_bits
+    has_parity = cfg.parity != "none"
+    weights = 1 << np.arange(db)
     octets = bytearray()
     framing = 0
     parity_bad = 0
-    t = 0.0
-    while True:
-        i = bisect_left(falls, t - slack)
-        if i >= len(falls):
-            break
-        ts = falls[i]
-        if events.level_at(ts + 0.5 * bit) != 0:
-            t = ts + 0.5 * bit  # glitch, not a real start bit
-            continue
-        value = 0
-        for k in range(cfg.data_bits):
-            if events.level_at(ts + (1.5 + k) * bit):
-                value |= 1 << k
-        pos = 1.5 + cfg.data_bits
-        parity_err = False
-        if cfg.parity != "none":
-            parity_err = events.level_at(ts + pos * bit) != cfg.parity_bit(value)
-            pos += 1
-        stops_ok = all(
-            events.level_at(ts + (pos + j) * bit) == 1 for j in range(cfg.stop_bits)
-        )
-        last_stop_sample = ts + (pos + cfg.stop_bits - 1) * bit
-        if stops_ok:
-            octets.append(value)
-            if parity_err:
-                parity_bad += 1
-        else:
-            framing += 1
-        # Scan on from the last stop sample: the line reads mark there on a
-        # good frame, so the next falling edge is the next idle-to-start
-        # transition. This also resynchronises after a framing error and is
-        # immune to accumulated start-edge quantisation.
-        t = last_stop_sample
+    block = max(1, _DECODE_BATCH // cfg.frame_bits)
+    i = 0
+    while i < falls.size:
+        lo = i
+        ts = falls[lo:lo + block]
+        hi = lo + ts.size
+        samples = ts[:, None] + offsets
+        levels = events.levels_at(samples)
+        # Successor of each candidate: the first fall at or after its start
+        # sample if a glitch, else its last stop sample, less slack; never
+        # the candidate itself.
+        resume = np.where(levels[:, 0] != 0, samples[:, 0], samples[:, -1])
+        nxt = np.maximum(np.searchsorted(falls, resume - slack, side="left"),
+                         np.arange(lo + 1, hi + 1)).tolist()
+        visited = []
+        while i < hi:
+            visited.append(i - lo)
+            i = nxt[i - lo]
+        frames = levels[visited]
+        frames = frames[frames[:, 0] == 0]
+        good = frames[:, 1 + db + has_parity:].all(axis=1)
+        framing += int(good.size - np.count_nonzero(good))
+        data = frames[good, 1:1 + db]
+        octets += (data @ weights).astype(np.uint8).tobytes()
+        if has_parity:
+            expected = (data.sum(axis=1) + (cfg.parity == "odd")) & 1
+            parity_bad += int(np.count_nonzero(frames[good, 1 + db] != expected))
     return DecodeResult(bytes(octets), framing, parity_bad, cfg.baud)
 
 

@@ -86,22 +86,29 @@ class LogicEventStream:
             raise ValueError(f"initial_level must be 0 or 1, got {self.initial_level}")
         if not 0 <= self.duration < float("inf"):
             raise ValueError(f"duration must be >= 0 and finite, got {self.duration}")
-        edges = tuple(float(t) for t in self.edges)
+        edges = tuple(map(float, self.edges))
         object.__setattr__(self, "edges", edges)
-        if edges:
-            arr = np.asarray(edges)
+        arr = np.array(edges, dtype=np.float64)
+        if arr.size:
             if not np.all(np.diff(arr) > 0):
                 raise ValueError("edge timestamps must be strictly increasing")
-            if arr[0] < 0 or arr[-1] > self.duration:
+            if not (arr[0] >= 0 and arr[-1] <= self.duration):
                 raise ValueError("edge timestamps must lie within [0, duration]")
+        arr.setflags(write=False)
+        object.__setattr__(self, "_edge_array", arr)
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only float64 array, built once."""
+        return self._edge_array
 
     def level_at(self, t: float) -> int:
         k = bisect_right(self.edges, t)
         return self.initial_level ^ (k & 1)
 
     def levels_at(self, times: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`level_at` for an array of instants."""
-        k = np.searchsorted(np.asarray(self.edges), times, side="right")
+        """Vectorised :meth:`level_at` for an array of instants, of any shape."""
+        k = np.searchsorted(self._edge_array, times, side="right")
         return (self.initial_level ^ (k & 1)).astype(np.int8)
 
     def invert(self) -> "LogicEventStream":
@@ -125,7 +132,7 @@ class LogicEventStream:
         """Shortest time between consecutive level flips (inf if < 2 edges)."""
         if len(self.edges) < 2:
             return float("inf")
-        return float(np.min(np.diff(np.asarray(self.edges))))
+        return float(np.min(np.diff(self._edge_array)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +182,9 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.gaussian_sigma < 0:
-            raise ValueError("gaussian_sigma must be >= 0")
+        if not 0 <= self.gaussian_sigma < float("inf"):
+            raise ValueError(f"gaussian_sigma must be >= 0 and finite, got {self.gaussian_sigma}")
+        if not -float("inf") < self.ambient_offset < float("inf"):
+            raise ValueError(f"ambient_offset must be finite, got {self.ambient_offset}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")

@@ -8,6 +8,7 @@ sampling) and shares no code with the package under test.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -62,6 +63,80 @@ def uart_edges_from_cells(cells: list[int], bit_time: float) -> list[float]:
             edges.append(k * bit_time)
             level = cell
     return edges
+
+
+# ---------------------------------------------------------------------------
+# UART encode and decode loops (before the vectorised passes)
+# ---------------------------------------------------------------------------
+
+def uart_encode_loop(data: bytes, cfg) -> tuple[int, tuple, float]:
+    """One cell at a time; returns the stream as (initial_level, edges, duration)."""
+    bit = cfg.bit_time
+    edges: list[float] = []
+    level = 1
+    for i, value in enumerate(data):
+        start = i * cfg.frame_time
+        cells = [0]
+        cells.extend((value >> k) & 1 for k in range(cfg.data_bits))
+        if cfg.parity != "none":
+            cells.append(cfg.parity_bit(value))
+        cells.extend([1] * cfg.stop_bits)
+        for k, cell in enumerate(cells):
+            if cell != level:
+                edges.append(start + k * bit)
+                level = cell
+    duration = len(data) * cfg.frame_time + bit
+    return 1, tuple(edges), duration
+
+
+def _falling_edges(events) -> list[float]:
+    init = events.initial_level
+    return [t for k, t in enumerate(events.edges) if (init ^ (k & 1)) == 1]
+
+
+def uart_decode_loop(events, cfg) -> tuple[bytes, int, int, float]:
+    """One bisect per bit cell; returns (octets, framing_errors,
+    parity_errors, baud_used)."""
+    bit = cfg.bit_time
+    slack = bit * 1e-6
+    falls = _falling_edges(events)
+    octets = bytearray()
+    framing = 0
+    parity_bad = 0
+    t = 0.0
+    while True:
+        i = bisect_left(falls, t - slack)
+        if i >= len(falls):
+            break
+        ts = falls[i]
+        if events.level_at(ts + 0.5 * bit) != 0:
+            t = ts + 0.5 * bit  # glitch, not a real start bit
+            continue
+        value = 0
+        for k in range(cfg.data_bits):
+            if events.level_at(ts + (1.5 + k) * bit):
+                value |= 1 << k
+        pos = 1.5 + cfg.data_bits
+        parity_err = False
+        if cfg.parity != "none":
+            parity_err = events.level_at(ts + pos * bit) != cfg.parity_bit(value)
+            pos += 1
+        stops_ok = all(
+            events.level_at(ts + (pos + j) * bit) == 1 for j in range(cfg.stop_bits)
+        )
+        last_stop_sample = ts + (pos + cfg.stop_bits - 1) * bit
+        if stops_ok:
+            octets.append(value)
+            if parity_err:
+                parity_bad += 1
+        else:
+            framing += 1
+        # Scan on from the last stop sample: the line reads mark there on a
+        # good frame, so the next falling edge is the next idle-to-start
+        # transition. This also resynchronises after a framing error and is
+        # immune to accumulated start-edge quantisation.
+        t = last_stop_sample
+    return bytes(octets), framing, parity_bad, cfg.baud
 
 
 # ---------------------------------------------------------------------------

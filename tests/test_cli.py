@@ -208,6 +208,17 @@ class TestMacCli:
         assert code == EXIT_CONFIG
         assert "malformed" in err
 
+    @pytest.mark.parametrize("stream, abort_at, message", [
+        ("55", "3", "stream of 2 nibbles is too short to abort"),
+        ("5" * 24, "3", "abort_at 3 outside legal range [16, 16]"),
+    ])
+    def test_abort_errors(self, capsys, stream, abort_at, message):
+        code, stdout, err = run(capsys, "mac", "abort", stream, "--abort-at", abort_at)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert message in err
+
 
 class TestDiodeCli:
     def test_clean_link_accepts_all(self, tmp_path, capsys):
@@ -272,6 +283,18 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize("line", ["seed=abc", "sigma=0.1.2", "frames=1.5"])
+    def test_bad_value_names_key_value_and_file(self, tmp_path, capsys, line):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"# comment\n{line}\n")
+        key, _, value = line.partition("=")
+        code, stdout, err = run(capsys, "synth", "--config", str(path),
+                                "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert repr(key) in err and repr(value) in err and str(path) in err
+
     def test_config_file_drives_synth(self, tmp_path, capsys):
         cfg = ExperimentConfig(seed=3, emanation_class="III", data="FROMCFG",
                                out=str(tmp_path / "o"))
@@ -325,6 +348,19 @@ class TestInputContract:
     def test_non_finite_time_exits_config(self, tmp_path, capsys, argv, field):
         out = tmp_path / "s"
         code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "diode"])
+    @pytest.mark.parametrize("flag, field", [("--sigma", "gaussian_sigma"),
+                                             ("--offset", "ambient_offset")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_exits_config(self, tmp_path, capsys, command, flag, field, value):
+        out = tmp_path / "s"
+        code, stdout, err = run(capsys, command, flag, value, "--out", str(out))
         assert code == EXIT_CONFIG
         assert stdout == ""
         assert_one_error_line(err)

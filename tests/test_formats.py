@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -130,3 +133,14 @@ class TestAtomicWrite:
         atomic_write_text(p, "one")
         atomic_write_text(p, "two")
         assert p.read_text() == "two"
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            write_trace(tmp_path / "t.optrace", OpticalTrace(100.0, np.array([0.5])))
+            atomic_write_text(tmp_path / "f.txt", "one")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "t.optrace").stat().st_mode) == mode
+        assert stat.S_IMODE((tmp_path / "f.txt").stat().st_mode) == mode

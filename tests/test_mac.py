@@ -11,6 +11,7 @@ from ledleak.mac import (
     MiiNibbleStream,
     PipelineState,
     ValidationResult,
+    _nibbles_to_octets,
     abort_transmission,
     build_frame,
     crc32_fcs,
@@ -163,6 +164,19 @@ class TestMiiMarshal:
     def test_octet_nibble_order(self):
         assert octets_to_nibbles(b"\xd5") == bytes([0x5, 0xD])
         assert octets_to_nibbles(b"\x12\xab") == bytes([0x2, 0x1, 0xB, 0xA])
+
+    @given(st.binary(max_size=1600))
+    @settings(max_examples=100, deadline=None)
+    def test_octets_nibbles_octets_round_trip(self, octets):
+        nibbles = octets_to_nibbles(octets)
+        assert len(nibbles) == 2 * len(octets) and max(nibbles, default=0) <= 15
+        assert _nibbles_to_octets(nibbles) == octets
+
+    @given(st.lists(st.integers(0, 15), max_size=400).map(bytes))
+    @settings(max_examples=100, deadline=None)
+    def test_nibbles_octets_nibbles_round_trip(self, nibbles):
+        # A dangling half octet is dropped.
+        assert octets_to_nibbles(_nibbles_to_octets(nibbles)) == nibbles[:len(nibbles) & ~1]
 
     def test_nibble_value_validation(self):
         with pytest.raises(ValueError):
@@ -407,6 +421,12 @@ class TestAbort:
             abort_transmission(s, len(s) - 7)
         abort_transmission(s, 16)
         abort_transmission(s, len(s) - 8)
+
+    def test_abort_error_messages(self):
+        with pytest.raises(ValueError, match="stream of 23 nibbles is too short to abort"):
+            abort_transmission(MiiNibbleStream(bytes(23)), 16)
+        with pytest.raises(ValueError, match=r"abort_at 17 outside legal range \[16, 16\]"):
+            abort_transmission(MiiNibbleStream(bytes(24)), 17)
 
 
 # ---------------------------------------------------------------------------

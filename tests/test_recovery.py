@@ -1,8 +1,12 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ledleak.recovery
 from ledleak.emanation import (
     DeviceProfile,
     DriveConfig,
@@ -16,6 +20,7 @@ from ledleak.emanation import (
 )
 from ledleak.errors import EstimationError, NoSignalError
 from ledleak.recovery import (
+    DecodeResult,
     bit_error_rate,
     classify_trace,
     decode_auto_polarity,
@@ -27,7 +32,7 @@ from ledleak.recovery import (
 )
 from ledleak.signals import LogicEventStream, NoiseModel, OpticalTrace, SerialConfig
 
-from oracles import ber_definition
+from oracles import ber_definition, uart_decode_loop, uart_encode_loop
 
 CFG = SerialConfig(baud=9600)
 BIT = CFG.bit_time
@@ -133,6 +138,85 @@ class TestUartDecode:
         line = uart_encode(b"SECRET", CFG)
         assert decode_auto_polarity(line, CFG).octets == b"SECRET"
         assert decode_auto_polarity(line.invert(), CFG).octets == b"SECRET"
+
+
+@st.composite
+def serial_configs(draw):
+    baud = draw(st.sampled_from([300.0, 9600.0, 115200.0, 12345.678]))
+    return SerialConfig(baud=baud,
+                        data_bits=draw(st.sampled_from([7, 8])),
+                        parity=draw(st.sampled_from(["none", "even", "odd"])),
+                        stop_bits=draw(st.sampled_from([1, 2])),
+                        idle_between_octets=draw(st.sampled_from([0.0, 0.37, 2.5])) / baud)
+
+
+@st.composite
+def decode_cases(draw):
+    """Encoded lines made noisy: jittered edges, glitch pulses, edges snapped
+    to a sample grid (ties with bit-centre instants included), random
+    half-bit cells and uniform random edges; either polarity, trailing idle,
+    and a decoder baud that may not match."""
+    cfg = draw(serial_configs())
+    bit = cfg.bit_time
+    _, clean, duration = uart_encode_loop(draw(st.binary(max_size=12)), cfg)
+    duration += draw(st.sampled_from([0.0, 3.0])) * bit
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["clean", "jitter", "glitch", "grid", "cells", "random"]))
+    edges = set(clean)
+    if kind == "jitter":
+        edges = set((np.asarray(clean) + rng.uniform(-0.45, 0.45, len(clean)) * bit).tolist())
+    elif kind == "glitch":
+        for t0 in rng.uniform(0.0, duration, rng.integers(1, 12)).tolist():
+            # A pulse flips the level from t0 on: edge sets combine by symmetric difference.
+            edges ^= {t0, t0 + rng.uniform(0.01, 1.2) * bit}
+    elif kind == "grid":
+        rate = draw(st.sampled_from([2.0, 4.0, 16.0, 3.7])) * cfg.baud
+        edges = set((np.round(np.asarray(clean) * rate) / rate).tolist())
+    elif kind == "cells":
+        half = 0.5 * bit
+        flips = np.flatnonzero(rng.random(int(duration / half)) < 0.4)
+        edges = set((flips * half).tolist())
+    elif kind == "random":
+        edges = set(rng.uniform(0.0, duration, rng.integers(0, 60)).tolist())
+    line = LogicEventStream(draw(st.sampled_from([1, 1, 0])),
+                            tuple(sorted(t for t in edges if 0.0 <= t <= duration)), duration)
+    scale = draw(st.sampled_from([1.0, 1.0, 1.0, 0.5, 0.97, 1.1, 2.0]))
+    decode_cfg = dataclasses.replace(cfg, baud=cfg.baud * scale)
+    return line, decode_cfg
+
+
+class TestUartMatchesLoop:
+    """The vectorised encoder and decoder against the per-cell loops."""
+
+    @given(serial_configs(), st.binary(max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_encode(self, cfg, data):
+        line = uart_encode(data, cfg)
+        assert (line.initial_level, line.edges, line.duration) == uart_encode_loop(data, cfg)
+
+    @given(decode_cases(), st.sampled_from([8192, 40, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_decode(self, case, batch):
+        line, cfg = case
+        with mock.patch.object(ledleak.recovery, "_DECODE_BATCH", batch):
+            fast = uart_decode(line, cfg)
+        assert fast == DecodeResult(*uart_decode_loop(line, cfg))
+
+    def test_fall_exactly_at_slack_bound(self):
+        # The next start lies exactly one slack before the last stop sample:
+        # "at or after" includes it.
+        bit = CFG.bit_time
+        nxt = (0.0 + 9.5 * bit) - bit * 1e-6
+        line = LogicEventStream(1, (0.0, 5 * bit, nxt, nxt + 3 * bit), 30 * bit)
+        fast = uart_decode(line, CFG)
+        assert fast == DecodeResult(*uart_decode_loop(line, CFG))
+        assert fast.framing_errors + len(fast.octets) == 2
+
+    def test_sub_resolution_bit_time_terminates(self):
+        # At 1e20 baud every cell instant rounds to the start edge itself,
+        # so no successor lies past it; the walk still moves on.
+        line = LogicEventStream(1, (0.1, 0.2), 0.3)
+        assert uart_decode(line, SerialConfig(baud=1e20)) == DecodeResult(b"", 1, 0, 1e20)
 
 
 class TestPipelineIdentity:

@@ -86,6 +86,27 @@ class TestLogicEventStream:
         with pytest.raises(ValueError):
             LogicEventStream(2, (), 1.0)
 
+    @pytest.mark.parametrize("edges, message", [
+        ((2.0, 1.0), "strictly increasing"),
+        ((1.0, 1.0), "strictly increasing"),
+        ((1.0, float("nan")), "strictly increasing"),
+        ((-0.5,), r"within \[0, duration\]"),
+        ((6.0,), r"within \[0, duration\]"),
+        ((float("inf"),), r"within \[0, duration\]"),
+        ((float("nan"),), r"within \[0, duration\]"),
+    ])
+    def test_edge_errors_name_the_check(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            LogicEventStream(0, edges, 5.0)
+
+    def test_edges_become_floats_and_a_read_only_array(self):
+        s = LogicEventStream(0, [1, np.float64(2.5)], 5.0)
+        assert s.edges == (1.0, 2.5)
+        assert all(type(t) is float for t in s.edges)
+        assert s.edge_array.tolist() == [1.0, 2.5]
+        with pytest.raises(ValueError):
+            s.edge_array[0] = 0.0
+
 
 class TestOpticalTrace:
     def test_samples_frozen(self):
@@ -119,3 +140,15 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(seed=2**64)
         NoiseModel(0.1, 0.0, 2**63)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"gaussian_sigma": float("nan")}, "gaussian_sigma"),
+        ({"gaussian_sigma": float("inf")}, "gaussian_sigma"),
+        ({"gaussian_sigma": -0.1}, "gaussian_sigma"),
+        ({"ambient_offset": float("nan")}, "ambient_offset"),
+        ({"ambient_offset": float("inf")}, "ambient_offset"),
+        ({"ambient_offset": float("-inf")}, "ambient_offset"),
+    ])
+    def test_non_finite_rejected_by_name(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(**kwargs)
