@@ -8,6 +8,7 @@ data-diode link.
 
 from .emanation import (
     DEFAULT_ACTIVITY_WINDOW,
+    MAX_SAMPLES,
     DeviceProfile,
     DriveConfig,
     EmanationClass,

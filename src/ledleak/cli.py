@@ -229,8 +229,13 @@ def _read_stream_arg(args: argparse.Namespace) -> mac.MiiNibbleStream:
 def cmd_mac(args: argparse.Namespace) -> int:
     action = args.mac_action
     if action == "build":
-        payload = bytes.fromhex(args.payload_hex) if args.payload_hex else args.payload.encode()
-        frame = mac.build_frame(args.dst, args.src, int(args.ethertype, 16), payload)
+        try:
+            payload = bytes.fromhex(args.payload_hex) if args.payload_hex else args.payload.encode()
+            dst, src = mac.mac_address(args.dst), mac.mac_address(args.src)
+            ethertype = mac.ethertype_bytes(args.ethertype)
+        except ValueError as exc:
+            raise ConfigError(f"malformed input: {exc}") from exc
+        frame = mac.build_frame(dst, src, ethertype, payload)
         print(formats.octets_to_hexline(frame.serialize()))
         return EXIT_OK
     stream = _read_stream_arg(args)
@@ -388,15 +393,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Escapes for every character ``str.splitlines`` breaks at, so an error
+#: quoting raw input (argparse's "unrecognized arguments") stays one line.
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _error(exc: Exception) -> None:
+    print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (NoSignalError, EstimationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_NO_SIGNAL
     except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_CONFIG
 
 

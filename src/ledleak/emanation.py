@@ -29,6 +29,10 @@ from .signals import LogicEventStream, NoiseModel, OpticalTrace, SerialConfig
 #: operate around tens of milliseconds.
 DEFAULT_ACTIVITY_WINDOW = 0.010
 
+#: Most samples one trace may hold: 2**27 float64 samples are 1 GiB.
+#: ``led_transduce`` refuses a longer trace before allocating anything.
+MAX_SAMPLES = 2**27
+
 
 class EmanationClass(Enum):
     """What an indicator LED's light correlates with."""
@@ -182,6 +186,9 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float,
     """
     if not 0 < sample_rate < float("inf"):
         raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
+    if not line.duration * sample_rate <= MAX_SAMPLES:
+        raise ValueError(f"duration {line.duration!r} s x sample_rate {sample_rate!r} Hz "
+                         f"exceeds the cap of {MAX_SAMPLES} samples per trace")
     shortest = line.shortest_pulse()
     if np.isfinite(shortest) and sample_rate < 4.0 / shortest:
         warnings.warn(

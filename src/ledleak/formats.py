@@ -9,6 +9,7 @@ with ``repr`` so files round-trip bit-exactly.
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from collections.abc import Iterable
 from itertools import chain
@@ -100,11 +101,14 @@ def octets_to_hexline(octets: bytes) -> str:
     return " ".join(f"{b:02x}" for b in octets)
 
 
+#: One octet of a hex dump: exactly two ASCII hex digits.
+_HEX_OCTET = re.compile(r"[0-9a-fA-F]{2}")
+
+
 def hexline_to_octets(line: str) -> bytes:
+    """Inverse of :func:`octets_to_hexline`, any whitespace between octets."""
     parts = line.split()
-    out = bytearray()
     for p in parts:
-        if len(p) != 2:
+        if not _HEX_OCTET.fullmatch(p):
             raise ValueError(f"bad hex octet {p!r}")
-        out.append(int(p, 16))
-    return bytes(out)
+    return bytes.fromhex("".join(parts))

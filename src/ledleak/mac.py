@@ -18,6 +18,7 @@ stream, ethertype is two opaque octets.
 
 from __future__ import annotations
 
+import re
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -39,6 +40,21 @@ MII_CLOCK_PERIOD = 40e-9  # 25 MHz
 #: Fixed pipeline window; a maximum-size frame needs 3052 slots.
 SLOT_WINDOW = 4096
 
+#: Any character but an ASCII hex digit. ``int(s, 16)`` alone would also
+#: take a sign, ``0x``, ``_``, surrounding spaces and any Unicode digit.
+_NON_HEX = re.compile(r"[^0-9a-fA-F]")
+#: ``bytes.translate`` tables between ASCII hex digits and nibble values.
+_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdefABCDEF",
+                                 bytes(range(16)) + bytes(range(10, 16)))
+_NIBBLE_TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
+
+
+def _hex_int(text: str, what: str) -> int:
+    """``int(text, 16)`` for one or more ASCII hex digits only."""
+    if not text or _NON_HEX.search(text):
+        raise FrameError(f"bad {what} {text!r}: expected hex digits 0-9a-fA-F")
+    return int(text, 16)
+
 
 def crc32_fcs(octets: bytes) -> bytes:
     """Ethernet frame check sequence over the given octets.
@@ -55,14 +71,17 @@ def mac_address(value: bytes | str) -> bytes:
         parts = value.split(":")
         if len(parts) != 6:
             raise FrameError(f"bad MAC address {value!r}")
-        value = bytes(int(p, 16) for p in parts)
+        value = bytes(_hex_int(p, "MAC address octet") for p in parts)
     value = bytes(value)
     if len(value) != 6:
         raise FrameError(f"MAC address must be 6 octets, got {len(value)}")
     return value
 
 
-def ethertype_bytes(value: bytes | int) -> bytes:
+def ethertype_bytes(value: bytes | int | str) -> bytes:
+    """Two ethertype octets from raw octets, an int or hex digits."""
+    if isinstance(value, str):
+        value = _hex_int(value, "ethertype")
     if isinstance(value, int):
         if not 0 <= value <= 0xFFFF:
             raise FrameError(f"ethertype {value:#x} outside [0, 0xffff]")
@@ -109,7 +128,7 @@ class EthernetFrame:
         return self.dst + self.src + self.ethertype + self.payload + self.pad + self.fcs
 
 
-def build_frame(dst: bytes | str, src: bytes | str, ethertype: bytes | int,
+def build_frame(dst: bytes | str, src: bytes | str, ethertype: bytes | int | str,
                 payload: bytes = b"") -> EthernetFrame:
     """Assemble a frame: pad the payload to the 46-octet minimum, append FCS."""
     dst = mac_address(dst)
@@ -142,11 +161,18 @@ class MiiNibbleStream:
 
     def to_string(self) -> str:
         """Contiguous hex-digit form, one digit per nibble."""
-        return "".join(f"{n:x}" for n in self.nibbles)
+        return self.nibbles.translate(_NIBBLE_TO_HEX).decode("ascii")
 
     @classmethod
     def from_string(cls, text: str, clock_period: float = MII_CLOCK_PERIOD) -> "MiiNibbleStream":
-        return cls(bytes(int(c, 16) for c in text.strip()), clock_period)
+        """Inverse of :meth:`to_string`; surrounding whitespace is ignored and
+        any other character but an ASCII hex digit is a ``ValueError``."""
+        text = text.strip()
+        bad = _NON_HEX.search(text)
+        if bad:
+            raise ValueError(f"non-hex digit {bad.group()!r} at position {bad.start()} "
+                             "of nibble string")
+        return cls(text.encode("ascii").translate(_HEX_TO_NIBBLE), clock_period)
 
 
 def octets_to_nibbles(octets: bytes) -> bytes:

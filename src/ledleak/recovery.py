@@ -242,7 +242,7 @@ def classify_trace(trace: OpticalTrace, reference: bytes, cfg: SerialConfig,
     trace_env = union_stream(events.intervals(1), events.duration,
                              events.initial_level == 1, gap=window)
     ref_env = activity_envelope(uart_encode(reference, cfg), window)
-    score_activity = _pearson01(trace_env.levels_at(t), ref_env.levels_at(t))
+    score_activity = _pearson01(trace_env.levels_at_sorted(t), ref_env.levels_at_sorted(t))
 
     s = trace.samples
     span = float(s.max() - s.min())
@@ -290,11 +290,13 @@ def leakage_mutual_information(trace: OpticalTrace, data_line: LogicEventStream,
     if bins < 2:
         raise ValueError("bins must be >= 2")
     t = trace.times()
-    mask = (t >= 0.0) & (t <= data_line.duration)
-    if not mask.any():
+    # The sample instants are sorted, so the overlap [0, duration] is a slice.
+    lo = np.searchsorted(t, 0.0, side="left")
+    hi = np.searchsorted(t, data_line.duration, side="right")
+    if lo >= hi:
         raise ValueError("trace and data line do not overlap in time")
-    x = trace.samples[mask]
-    y = data_line.levels_at(t[mask]).astype(np.int64)
+    x = trace.samples[lo:hi]
+    y = data_line.levels_at_sorted(t[lo:hi])
     lo_v, hi_v = float(x.min()), float(x.max())
     span = hi_v - lo_v
     if span <= 0:

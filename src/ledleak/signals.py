@@ -111,6 +111,19 @@ class LogicEventStream:
         k = np.searchsorted(self._edge_array, times, side="right")
         return (self.initial_level ^ (k & 1)).astype(np.int8)
 
+    def levels_at_sorted(self, times: np.ndarray) -> np.ndarray:
+        """:meth:`levels_at` for a non-decreasing 1-D array of instants.
+
+        Places the edges among the instants instead of the instants among
+        the edges: edge ``e`` is counted at instant ``t_i`` iff ``e <= t_i``,
+        so each run of instants between consecutive edges takes one level.
+        The result is undefined if ``times`` is not sorted.
+        """
+        j = np.searchsorted(times, self._edge_array, side="left")
+        runs = np.diff(j, prepend=0, append=len(times))
+        levels = (self.initial_level ^ (np.arange(runs.size) & 1)).astype(np.int8)
+        return np.repeat(levels, runs)
+
     def invert(self) -> "LogicEventStream":
         return LogicEventStream(1 - self.initial_level, self.edges, self.duration)
 

@@ -310,3 +310,31 @@ def ber_definition(sent: bytes, recovered: bytes) -> float:
         else:
             errors += 8
     return errors / (8 * n)
+
+
+# ---------------------------------------------------------------------------
+# Leakage mutual information (boolean overlap mask, levels_at per instant)
+# ---------------------------------------------------------------------------
+
+def leakage_mutual_information_mask(trace, data_line, bins: int = 16) -> float:
+    if bins < 2:
+        raise ValueError("bins must be >= 2")
+    t = trace.times()
+    mask = (t >= 0.0) & (t <= data_line.duration)
+    if not mask.any():
+        raise ValueError("trace and data line do not overlap in time")
+    x = trace.samples[mask]
+    y = data_line.levels_at(t[mask]).astype(np.int64)
+    lo_v, hi_v = float(x.min()), float(x.max())
+    span = hi_v - lo_v
+    if span <= 0:
+        return 0.0
+    xi = np.minimum((bins * (x - lo_v) / span).astype(np.int64), bins - 1)
+    joint = np.bincount(xi * 2 + y, minlength=bins * 2).reshape(bins, 2).astype(np.float64)
+    n = joint.sum()
+    p = joint / n
+    px = p.sum(axis=1, keepdims=True)
+    py = p.sum(axis=0, keepdims=True)
+    nz = p > 0
+    mi = float(np.sum(p[nz] * np.log2(p[nz] / (px @ py)[nz])))
+    return max(0.0, mi)

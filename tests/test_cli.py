@@ -1,6 +1,17 @@
+import contextlib
+import dataclasses
+import io
 import json
+import re
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from ledleak.cli import (
     EXIT_CONFIG,
@@ -10,6 +21,7 @@ from ledleak.cli import (
     ExperimentConfig,
     main,
 )
+from ledleak.emanation import MAX_SAMPLES
 from ledleak.formats import read_events, read_trace, write_trace
 from ledleak.signals import OpticalTrace
 
@@ -208,6 +220,25 @@ class TestMacCli:
         assert code == EXIT_CONFIG
         assert "malformed" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["mac", "validate", "\u0663\u0663"],  # Arabic-Indic digits three three
+        ["mac", "validate", "+1 0f"],
+        ["mac", "validate", "+1 \u0663\u0663"],
+        ["mac", "validate", "0x55"],
+        ["mac", "peek", "55\uff15"],  # fullwidth five
+        ["mac", "abort", "\u0665" * 24, "--abort-at", "16"],
+        ["mac", "build", "--dst", DST, "--src", SRC, "--ethertype", "\u0660\u0668\u0660\u0660"],
+        ["mac", "build", "--dst", DST, "--src", SRC, "--ethertype", "+800"],
+        ["mac", "build", "--dst", DST, "--src", SRC, "--ethertype", "0x0800"],
+        ["mac", "build", "--dst", "aa:bb:cc:dd:ee:\u0663", "--src", SRC],
+    ])
+    def test_non_ascii_hex_is_malformed(self, capsys, argv):
+        code, stdout, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert err.startswith("error: malformed input: ")
+
     @pytest.mark.parametrize("stream, abort_at, message", [
         ("55", "3", "stream of 2 nibbles is too short to abort"),
         ("5" * 24, "3", "abort_at 3 outside legal range [16, 16]"),
@@ -329,6 +360,23 @@ class TestInputContract:
         assert "sample_rate" in err
         assert not out.exists()
 
+    def test_sample_count_over_cap_exits_config(self, tmp_path, capsys):
+        # SECRET at 9600 baud lasts over 6.25 ms, so this is over the cap.
+        rate = repr(1.01 * MAX_SAMPLES / 6.25e-3)
+        out = tmp_path / "s"
+        tracemalloc.start()
+        try:
+            code, stdout, err = run(capsys, "synth", "--sample-rate", rate, "--out", str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert f"sample_rate {rate} Hz exceeds the cap of {MAX_SAMPLES} samples" in err
+        assert not out.exists()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("command", ["synth", "diode"])
     def test_infinite_baud_exits_config(self, tmp_path, capsys, command):
         out = tmp_path / "s"
@@ -394,3 +442,222 @@ class TestInputContract:
             main(["mac", "build", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: ledleak mac build")
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: every input ends in an exit code and at most one error line
+# ---------------------------------------------------------------------------
+
+_HEX = "0123456789abcdefABCDEF"
+#: Not hex: signs, an underscore, spaces (one an em space), letters (one
+#: fullwidth) and Unicode digits (an Arabic-Indic three, a fullwidth five),
+#: which ``int(c, 16)`` takes.
+_NEAR_HEX = "+-_xg \t\u2003\uff44\u0663\u0663\u0663\uff15\uff15\uff15"
+
+#: Values per flag and config key. Durations stay below ~20 ms, so a trace
+#: holds at most a few tens of thousands of samples, except where the
+#: sample count is far over ``MAX_SAMPLES`` and nothing may be allocated.
+_FLAG_VALUES = {
+    "--seed": ["0", "7", "-1", "18446744073709551616", "x"],
+    "--class": ["I", "II", "III", "IV"],
+    "--baud": ["9600", "115200", "auto", "0", "-9600", "inf", "nan", "x",
+               "\u0669\u0666\u0660\u0660"],
+    "--data": ["SECRET", "", "A", "\u00e9t\u00e9", "\udcff"],
+    "--data-hex": ["", "4142", "zz", "414", "\u0663\u0663", "41 42"],
+    "--sigma": ["0", "0.05", "-1", "nan", "inf", "x"],
+    "--offset": ["0", "0.01", "nan", "-inf"],
+    "--sample-rate": ["1e5", "1e6", "0", "-1", "nan", "inf", "2e13", "1e300"],
+    "--window-ms": ["10", "0", "1", "-1", "nan", "inf", "1e12"],
+    "--gap-ms": ["0", "1", "-1", "nan", "inf", "1e12"],
+    "--stretch-us": ["0", "0,104.1667", "104.1667,0", "", "inf", "nan,0", "-1", "x,1", "1e15"],
+    "--hysteresis": ["0.2", "0", "0.5", "-1", "nan", "x"],
+    "--frames": ["0", "1", "-1", "x"],
+    "--attenuation": ["0.8", "0", "1", "-1", "nan", "x"],
+    "--abort-at": ["16", "0", "-1", "60", "x"],
+    "--dst": ["aa:bb:cc:dd:ee:ff", "1:2:3:4:5:6", "aa:bb", "aa:bb:cc:dd:ee:100",
+              "aa:bb:cc:dd:ee:\u0663"],
+    "--src": ["11:22:33:44:55:66", "x"],
+    "--ethertype": ["0800", "86dd", "10000", "-1", "0x800", "\u0660\u0668\u0660\u0660", "", "zz"],
+    "--payload": ["", "hello", "\udcff"],
+    "--payload-hex": ["", "00ff", "zz", "0"],
+}
+#: Subcommands, their positionals and the flags each one takes.
+_COMMANDS = {
+    ("synth",): ["--seed", "--class", "--baud", "--data", "--data-hex", "--sigma", "--offset",
+                 "--sample-rate", "--window-ms", "--gap-ms"],
+    ("recover", "{dir}/t.optrace"): ["--seed", "--baud", "--hysteresis"],
+    ("classify", "{dir}/t.optrace"): ["--seed", "--data", "--data-hex", "--baud", "--gap-ms",
+                                      "--window-ms", "--hysteresis"],
+    ("sweep-stretch",): ["--stretch-us", "--seed", "--baud", "--data", "--data-hex", "--sigma",
+                         "--sample-rate"],
+    ("diode", "--frames", "1"): ["--seed", "--frames", "--baud", "--attenuation", "--sigma",
+                                 "--offset"],
+    ("mac", "build"): ["--dst", "--src", "--ethertype", "--payload", "--payload-hex"],
+    ("mac", "abort"): ["--abort-at"],
+    ("frobnicate",): [],
+    (): [],
+}
+_MAC_BUILD = ["mac", "build", "--dst", "aa:bb:cc:dd:ee:ff", "--src", "1:2:3:4:5:6"]
+_CONFIG_KEYS = {f.name: "--" + f.name.replace("_", "-")
+                for f in dataclasses.fields(ExperimentConfig)}
+_CONFIG_KEYS["emanation_class"] = "--class"
+
+
+def _near_hex(draw, text: str) -> str:
+    """``text``, or half the time ``text`` with one character replaced by
+    one that is not hex, though ``int(s, 16)`` takes some of them."""
+    c = draw(st.sampled_from([None] * len(_NEAR_HEX) + list(_NEAR_HEX)))
+    if not text or c is None:
+        return text
+    i = draw(st.integers(0, len(text) - 1))
+    return text[:i] + c + text[i + 1:]
+
+
+@st.composite
+def _hexish(draw) -> str:
+    """Nibble strings and hex dumps, sometimes with a character that is not hex."""
+    octets = draw(st.lists(st.text(_HEX, min_size=2, max_size=2), max_size=70))
+    text = draw(st.sampled_from([" ".join(octets), "".join(octets),
+                                 "55" * 8 + "5d" + "".join(octets)]))
+    return _near_hex(draw, text)
+
+
+def _stream_accepted(text: str) -> bool:
+    """The documented stream grammar: a hex dump (two hex digits per octet,
+    whitespace between) or one nibble per hex digit."""
+    text = text.strip()
+    if not text:
+        return False
+    if any(c.isspace() for c in text):
+        return all(re.fullmatch("[0-9a-fA-F]{2}", p) for p in text.split())
+    return re.fullmatch("[0-9a-fA-F]+", text) is not None
+
+
+@st.composite
+def _optrace_body(draw) -> bytes:
+    rate = draw(st.sampled_from(["76800.0", "76800.0", "1e6", "0", "-1", "nan", "inf", "x", ""]))
+    origin = draw(st.sampled_from(["0.0", "0.0", "-0.001", "1.0", "nan", "x"]))
+    good = f"# optrace v1 sample_rate_hz={rate} origin_s={origin}"
+    header = draw(st.sampled_from([good, good, good, f"# optrace v1 sample_rate_hz={rate}",
+                                   f"# optevents v1 initial=0 duration_s={rate}", ""]))
+    if draw(st.booleans()):  # an idle-mark line, 8 samples per bit at 9600 baud and 76.8 kHz
+        bits = draw(st.lists(st.integers(0, 1), max_size=40))
+        lines = [str(b) for b in [1] * 8 + [b for b in bits for _ in range(8)]]
+    else:
+        lines = draw(st.lists(st.sampled_from(
+            ["0", "1", "0.5", "-0.5", "1e-3", "nan", "inf", "x", "", "  ", "1 2", "\u0661"]),
+            max_size=60))
+    body = "\n".join([header, *lines]).encode()
+    return body + draw(st.sampled_from([b"", b"", b"\n", b"\n", b"\xff\n"]))
+
+
+@st.composite
+def _optevents_body(draw) -> bytes:
+    initial = draw(st.sampled_from(["0", "1", "2", "x", "\u0660"]))
+    duration = draw(st.sampled_from(["0.01", "0", "-1", "nan", "inf", "x"]))
+    header = draw(st.sampled_from([f"# optevents v1 initial={initial} duration_s={duration}",
+                                   f"# optevents v1 initial={initial}",
+                                   f"# optrace v1 sample_rate_hz=1e6 origin_s={duration}"]))
+    lines = draw(st.lists(st.sampled_from(
+        ["0", "0.001", "0.002", "0.01", "0.02", "-0.001", "nan", "inf", "x", ""]), max_size=8))
+    return "\n".join([header, *lines]).encode() + draw(st.sampled_from([b"", b"\n", b"\xff"]))
+
+
+@st.composite
+def _config_body(draw) -> bytes:
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        key = draw(st.sampled_from([*_CONFIG_KEYS, "bogus"]))
+        values = _FLAG_VALUES.get(_CONFIG_KEYS.get(key, ""), ["1"])
+        lines.append(draw(st.sampled_from([
+            f"{key}={draw(st.sampled_from(values))}", f" {key} = 1 ", "novalue", "=1", "# x", ""])))
+    return "\n".join(lines).encode("utf-8", "surrogateescape")  # "\udcff" is the byte 0xff
+
+
+@st.composite
+def cli_cases(draw):
+    """``(argv, files, expected_code)``: ``{dir}`` in argv is the directory
+    that ``files`` (name to bytes) are written to. ``argv is None`` reads
+    the events file, which no subcommand takes, with ``read_events``."""
+    files = {"t.optrace": draw(_optrace_body())}
+    kind = draw(st.sampled_from(["argv", "argv", "argv", "stream", "stream", "ethertype",
+                                 "events"]))
+    if kind == "events":
+        return None, {"e.optevents": draw(_optevents_body())}, None
+    if kind == "ethertype":
+        text = _near_hex(draw, draw(st.text(_HEX, min_size=1, max_size=5)))
+        ok = re.fullmatch("[0-9a-fA-F]+", text) and int(text, 16) <= 0xFFFF
+        return _MAC_BUILD + ["--ethertype", text], files, EXIT_OK if ok else EXIT_CONFIG
+    if kind == "stream":
+        text = draw(_hexish())
+        action = draw(st.sampled_from(["validate", "peek", "abort"]))
+        argv = ["mac", action, text]
+        if action == "abort":
+            return argv + ["--abort-at", draw(st.sampled_from(["16", "60", "x"]))], files, None
+        return argv, files, EXIT_OK if _stream_accepted(text) else EXIT_CONFIG
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = list(command)
+    flags = _COMMANDS[command]
+    if not flags or draw(st.sampled_from([False] * 9 + [True])):
+        flags = sorted(_FLAG_VALUES)  # flags another subcommand takes, too
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4, unique=True)):
+        argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    if draw(st.booleans()):
+        files["c.cfg"] = draw(_config_body())
+        argv += ["--config", draw(st.sampled_from(["{dir}/c.cfg", "{dir}/missing.cfg"]))]
+    if command[:1] in (("synth",), ("sweep-stretch",), ("diode",)):
+        argv += ["--out", "{dir}/out"]
+    if command == ("mac", "abort"):
+        argv.insert(2, draw(_hexish()))
+    extra = draw(st.sampled_from([None] * 9 + ["-h", "--bogus", "a\nb"]))
+    if extra:
+        argv.insert(draw(st.integers(0, len(argv))), extra)
+    return argv, files, None
+
+
+def _run_main(argv: list[str]) -> tuple[int, str, str]:
+    """``main`` as the console script runs it; any exception but the
+    ``SystemExit`` of ``--help`` propagates and fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO("")), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a separate channel, not error lines
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCliFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(cli_cases())
+    @example(case=(["mac", "validate", "\u0663\u0663"], {}, EXIT_CONFIG))
+    @example(case=(["mac", "validate", "+1 0f"], {}, EXIT_CONFIG))
+    @example(case=(_MAC_BUILD + ["--ethertype", "\u0660\u0668\u0660\u0660"], {}, EXIT_CONFIG))
+    @example(case=(["synth", "--sample-rate", "2e13", "--out", "{dir}/out"], {}, EXIT_CONFIG))
+    @example(case=(["sweep-stretch", "--stretch-us", "0", "--sample-rate", "1e300",
+                    "--out", "{dir}/out"], {}, EXIT_CONFIG))
+    @example(case=(["synth", "a\nb"], {}, EXIT_CONFIG))
+    def test_every_input_ends_in_an_exit_code(self, case):
+        """Exit 0-3, never a traceback, and on failure exactly one stderr line,
+        starting ``error:``. Streams exit 0 iff they follow the grammar."""
+        argv, files, expected = case
+        with tempfile.TemporaryDirectory() as d:
+            for name, body in files.items():
+                Path(d, name).write_bytes(body)
+            if argv is None:
+                try:
+                    read_events(Path(d, "e.optevents"))
+                except ValueError:  # main's exit-1 class
+                    pass
+                return
+            code, _, err = _run_main([a.replace("{dir}", d) for a in argv])
+        event(f"{argv[:2] if argv[:1] == ['mac'] else argv[:1]} exit {code}")
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NO_SIGNAL, EXIT_ONE_WAY)
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            assert_one_error_line(err)
+        if expected is not None:
+            assert code == expected, err

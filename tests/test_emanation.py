@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import ledleak.diode
 import ledleak.emanation
 from ledleak.diode import DiodeLink, diode_send
 from ledleak.emanation import (
+    MAX_SAMPLES,
     DeviceProfile,
     DriveConfig,
     EmanationClass,
@@ -154,6 +156,26 @@ class TestLedTransduce:
         line = uart_encode(b"\x55", CFG)
         with pytest.raises(ValueError, match="sample_rate"):
             led_transduce(line, LedModel(), sample_rate)
+
+    def test_sample_count_cap_allocates_nothing(self):
+        line = LogicEventStream(0, (0.5,), 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                led_transduce(line, LedModel(), float(MAX_SAMPLES + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert str(exc.value) == ("duration 1.0 s x sample_rate 134217729.0 Hz exceeds "
+                                  "the cap of 134217728 samples per trace")
+
+    def test_sample_count_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(ledleak.emanation, "MAX_SAMPLES", 1000)
+        line = LogicEventStream(0, (0.25,), 0.5)
+        assert led_transduce(line, LedModel(), 2000.0).n_samples == 1000
+        with pytest.raises(ValueError, match="cap of 1000 samples"):
+            led_transduce(line, LedModel(), 2002.0)
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import os
+import re
 import stat
 
 import numpy as np
@@ -125,6 +126,20 @@ class TestHexFormats:
             hexline_to_octets("0g 00")
         with pytest.raises(ValueError):
             hexline_to_octets("000 11")
+
+    @pytest.mark.parametrize("line, octet", [
+        ("+1 0f", "+1"),
+        ("0f \u0663\u0663", "\u0663\u0663"),  # Arabic-Indic digits
+        ("\uff10f", "\uff10f"),  # fullwidth zero
+        ("0f -1", "-1"),
+        ("0_ 1f", "0_"),
+    ])
+    def test_hexline_takes_ascii_hex_digits_only(self, line, octet):
+        with pytest.raises(ValueError, match=re.escape(f"bad hex octet {octet!r}")):
+            hexline_to_octets(line)
+
+    def test_hexline_any_whitespace_between_octets(self):
+        assert hexline_to_octets(" 0A\tff\n10 ") == b"\x0a\xff\x10"
 
 
 class TestAtomicWrite:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,31 @@ class TestMiiMarshal:
     def test_string_round_trip(self):
         s = mii_marshal(make_frame(5))
         assert MiiNibbleStream.from_string(s.to_string()) == s
+
+    @given(st.lists(st.integers(0, 15), max_size=400).map(bytes))
+    @settings(max_examples=50, deadline=None)
+    def test_nibbles_string_nibbles_round_trip(self, nibbles):
+        text = MiiNibbleStream(nibbles).to_string()
+        assert text == "".join(f"{n:x}" for n in nibbles)
+        assert MiiNibbleStream.from_string(text).nibbles == nibbles
+
+    @given(st.text(alphabet="0123456789abcdefABCDEF", max_size=400))
+    @settings(max_examples=50, deadline=None)
+    def test_string_nibbles_string_round_trip(self, text):
+        s = MiiNibbleStream.from_string(text)
+        assert s.nibbles == bytes(int(c, 16) for c in text)
+        assert s.to_string() == text.lower()
+
+    @given(st.text(max_size=12), st.characters(), st.text(max_size=12))
+    @settings(max_examples=50, deadline=None)
+    def test_string_rejects_all_but_ascii_hex(self, head, c, tail):
+        text = head + c + tail
+        bad = [ch for ch in text.strip() if ch not in "0123456789abcdefABCDEF"]
+        if not bad:
+            assert MiiNibbleStream.from_string(text).to_string() == text.strip().lower()
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"non-hex digit {bad[0]!r}")):
+                MiiNibbleStream.from_string(text)
 
     def test_default_clock_is_25mhz(self):
         assert MiiNibbleStream(b"").clock_period == pytest.approx(40e-9)

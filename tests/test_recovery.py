@@ -32,7 +32,13 @@ from ledleak.recovery import (
 )
 from ledleak.signals import LogicEventStream, NoiseModel, OpticalTrace, SerialConfig
 
-from oracles import ber_definition, uart_decode_loop, uart_encode_loop
+from oracles import (
+    ber_definition,
+    leakage_mutual_information_mask,
+    uart_decode_loop,
+    uart_encode_loop,
+)
+from strategies import grid_and_stream
 
 CFG = SerialConfig(baud=9600)
 BIT = CFG.bit_time
@@ -402,3 +408,42 @@ class TestMutualInformation:
         tr = OpticalTrace(1e3, np.ones(100))
         with pytest.raises(ValueError):
             leakage_mutual_information(tr, line, 1)
+
+
+def _value_or_error(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestMutualInformationMatchesMask:
+    """The overlap slice and ``levels_at_sorted`` give the float of the
+    boolean mask and ``levels_at``, or the same error."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(grid_and_stream(), st.integers(0, 2**32 - 1),
+           st.sampled_from(["noise", "copy", "levels"]), st.sampled_from([2, 3, 16]))
+    def test_matches_mask(self, case, seed, kind, bins):
+        grid, line = case
+        rng = np.random.default_rng(seed)
+        n = grid.n_samples
+        if kind == "noise":
+            samples = rng.normal(0.0, 1.0, n)
+        elif kind == "copy":
+            samples = line.levels_at(grid.times()) + rng.normal(0.0, 0.1, n)
+        else:  # few distinct values, so samples sit on bin edges
+            samples = rng.integers(0, 4, n) / 3.0
+        trace = OpticalTrace(grid.sample_rate, samples, grid.origin_time)
+        assert (_value_or_error(leakage_mutual_information, trace, line, bins)
+                == _value_or_error(leakage_mutual_information_mask, trace, line, bins))
+
+    @pytest.mark.parametrize("min_on_bits", [0, 480])
+    def test_sweep_trace(self, min_on_bits):
+        data = np.random.default_rng(101).bytes(1024)
+        line = uart_encode(data, CFG)
+        drive = DriveConfig(serial=CFG, pulse_stretch=min_on_bits * BIT)
+        profile = DeviceProfile(EmanationClass.CONTENT, LedModel(), drive)
+        trace = synthesize_class(profile, data, NoiseModel(0.02, 0.0, 101), 1e6)
+        mi = leakage_mutual_information(trace, line)
+        assert mi == leakage_mutual_information_mask(trace, line)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ledleak.errors import ConfigError
 from ledleak.signals import LogicEventStream, NoiseModel, OpticalTrace, SerialConfig
+
+from strategies import grid_and_stream
 
 
 class TestSerialConfig:
@@ -106,6 +110,41 @@ class TestLogicEventStream:
         assert s.edge_array.tolist() == [1.0, 2.5]
         with pytest.raises(ValueError):
             s.edge_array[0] = 0.0
+
+
+_FRACTIONS = st.lists(st.floats(0.0, 1.0), max_size=60)
+
+
+class TestLevelsAtSorted:
+    """``levels_at_sorted`` is ``levels_at`` on any non-decreasing 1-D array."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_and_stream(), st.data())
+    def test_matches_levels_at(self, case, data):
+        """On the trace's sample grid, or on a sorted multiset of instants on,
+        one ulp either side of and beyond the edges."""
+        trace, line = case
+        t = trace.times()
+        if data.draw(st.booleans(), label="repeated instants"):
+            spots = [0.0, line.duration, -1.0, line.duration + 1.0, *line.edges,
+                     *(float(np.nextafter(e, np.inf)) for e in line.edges),
+                     *(float(np.nextafter(e, -np.inf)) for e in line.edges)]
+            u = np.array(data.draw(_FRACTIONS), dtype=np.float64)
+            t = np.sort(np.array(spots)[(u * (len(spots) - 1)).astype(np.int64)])
+        got = line.levels_at_sorted(t)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, line.levels_at(t))
+
+    def test_empty_grid_and_no_edges(self):
+        line = LogicEventStream(1, (), 1.0)
+        assert line.levels_at_sorted(np.arange(0.0)).tolist() == []
+        assert line.levels_at_sorted(np.arange(3.0)).tolist() == [1, 1, 1]
+        assert LogicEventStream(0, (0.5,), 1.0).levels_at_sorted(np.arange(0.0)).dtype == np.int8
+
+    def test_edge_on_an_instant_counts_there(self):
+        line = LogicEventStream(0, (0.0, 1.0, 2.0), 2.0)
+        t = np.array([0.0, 0.5, 1.0, 1.0, 2.0])
+        assert line.levels_at_sorted(t).tolist() == [1, 1, 0, 0, 1]
 
 
 class TestOpticalTrace:
