@@ -31,7 +31,9 @@ EXIT_ONE_WAY = 3
 
 @dataclass
 class ExperimentConfig:
-    """Flat experiment parameters, serialisable as key=value lines."""
+    """Flat experiment parameters, serialisable as key=value lines. Key ``k``
+    is also the flag ``--k`` (dashes for underscores; ``--class`` for
+    ``emanation_class``); flag and file values share one cast, :func:`_cast`."""
 
     seed: int = 0
     out: str = "."
@@ -66,31 +68,56 @@ class ExperimentConfig:
                     raise ConfigError(f"bad config line {line!r} (expected key=value)")
                 values[key.strip()] = value.strip()
         cfg = cls()
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
         for key, value in values.items():
-            if key not in types:
+            if key not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
-            cast = {"int": int, "float": float, "str": str}[types[key]]
-            try:
-                setattr(cfg, key, cast(value))
-            except ValueError:
-                raise ConfigError(f"config key {key!r} in {path}: expected {types[key]}, "
-                                  f"got {value!r}") from None
+            setattr(cfg, key, _cast(key, value, f"config key {key!r} in {path}"))
         return cfg
 
-    def merged_with(self, args: argparse.Namespace) -> "ExperimentConfig":
-        """Explicit command-line flags override config file values."""
-        out = dataclasses.replace(self)
-        for f in dataclasses.fields(self):
-            value = getattr(args, f.name, None)
-            if value is not None:
-                setattr(out, f.name, value)
-        return out
+
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _flag(key: str) -> str:
+    return "--class" if key == "emanation_class" else "--" + key.replace("_", "-")
+
+
+def _baud(text: str) -> float:
+    """A ``baud`` value as a rate; ``recover`` resolves ``auto`` before this."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"expected a number or 'auto', got {text!r}") from None
+
+
+def _cast(key: str, text: str, where: str) -> int | float | str:
+    """``text`` as the value of config key ``key``, by the key's field type;
+    a baud and a class label must also parse. Errors start with ``where``."""
+    kind = _FIELD_TYPES[key]
+    try:
+        value = {"int": int, "float": float, "str": str}[kind](text)
+        if key == "baud" and text != "auto":
+            _baud(text)
+        elif key == "emanation_class":
+            emanation.EmanationClass.from_label(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    except ValueError:
+        raise ConfigError(f"{where}: expected {kind}, got {text!r}") from None
+    return value
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    base = ExperimentConfig.from_file(args.config) if getattr(args, "config", None) else ExperimentConfig()
-    return base.merged_with(args)
+    """The ``--config`` file's values, overridden by the flags given."""
+    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    for key in _FIELD_TYPES:
+        text = getattr(args, key, None)
+        if text is not None:
+            setattr(cfg, key, _cast(key, text, f"argument {_flag(key)}"))
+    if cfg.baud == "auto" and args.command != "recover":
+        where = "argument --baud" if args.baud is not None else f"config key 'baud' in {args.config}"
+        raise ConfigError(f"{where}: baud 'auto' is only valid for the recover subcommand")
+    return cfg
 
 
 def _payload_octets(cfg: ExperimentConfig) -> bytes:
@@ -100,19 +127,12 @@ def _payload_octets(cfg: ExperimentConfig) -> bytes:
 
 
 def _serial_config(cfg: ExperimentConfig) -> SerialConfig:
-    if cfg.baud == "auto":
-        raise ConfigError("baud 'auto' is only valid for the recover subcommand")
-    return SerialConfig(baud=float(cfg.baud), idle_between_octets=cfg.gap_ms / 1000.0)
+    return SerialConfig(baud=_baud(cfg.baud), idle_between_octets=cfg.gap_ms / 1000.0)
 
 
-def _profile(cfg: ExperimentConfig, serial: SerialConfig,
-             pulse_stretch: float = 0.0) -> emanation.DeviceProfile:
+def _profile(cfg: ExperimentConfig, serial: SerialConfig) -> emanation.DeviceProfile:
     klass = emanation.EmanationClass.from_label(cfg.emanation_class)
-    drive = emanation.DriveConfig(
-        serial=serial,
-        pulse_stretch=pulse_stretch,
-        activity_window=cfg.window_ms / 1000.0,
-    )
+    drive = emanation.DriveConfig(serial=serial, activity_window=cfg.window_ms / 1000.0)
     return emanation.DeviceProfile(klass, emanation.LedModel(), drive)
 
 
@@ -136,13 +156,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    trace = formats.read_trace(args.trace_file)
     cfg = _load_config(args)
+    trace = formats.read_trace(args.trace_file)
     events = recovery.threshold_detect(trace, cfg.hysteresis)
-    if cfg.baud == "auto":
-        baud = recovery.estimate_baud(events)
-    else:
-        baud = float(cfg.baud)
+    baud = recovery.estimate_baud(events) if cfg.baud == "auto" else _baud(cfg.baud)
     serial = SerialConfig(baud=baud)
     result = recovery.decode_auto_polarity(events, serial)
     print(json.dumps(result.to_dict(), sort_keys=True))
@@ -150,8 +167,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    trace = formats.read_trace(args.trace_file)
     cfg = _load_config(args)
+    trace = formats.read_trace(args.trace_file)
     serial = _serial_config(cfg)
     report = recovery.classify_trace(trace, _payload_octets(cfg), serial,
                                      window=cfg.window_ms / 1000.0,
@@ -270,7 +287,7 @@ def cmd_diode(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if cfg.frames < 0:
         raise ConfigError("frames must be >= 0")
-    serial = SerialConfig(baud=float(cfg.baud))
+    serial = SerialConfig(baud=_baud(cfg.baud))
     link_type = diode.WiredBackLink if args.wired_back else diode.DiodeLink
     link = link_type(
         tx_led=emanation.LedModel(),
@@ -289,12 +306,14 @@ def cmd_diode(args: argparse.Namespace) -> int:
     formats.write_trace(out / "received.optrace", received)
     print(json.dumps(report.to_dict(), sort_keys=True))
 
+    # The run above is the baseline of diode.assert_unidirectional's check.
+    audit_ok = diode.interface_partition_audit()
     for adversary in diode.standard_adversaries():
-        evidence = diode.assert_unidirectional(link, adversary, frames, noise)
-        if not evidence.passed:
+        adversarial, _ = diode.diode_send(frames, link, noise, rx_program=adversary)
+        base, adv = report.emitter_trace_digest, adversarial.emitter_trace_digest
+        if not (audit_ok and base == adv):
             print(f"error: unidirectionality violation under {adversary.__name__}: "
-                  f"{evidence.baseline_digest[:16]} != {evidence.adversarial_digest[:16]}",
-                  file=sys.stderr)
+                  f"{base[:16]} != {adv[:16]}", file=sys.stderr)
             return EXIT_ONE_WAY
     return EXIT_OK
 
@@ -307,6 +326,27 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+#: The experiment subcommands: handler, help, positionals and the
+#: :class:`ExperimentConfig` keys taken as flags besides ``--seed`` and ``--out``.
+_EXPERIMENTS = {
+    "synth": (cmd_synth, "synthesize a leakage trace", (),
+              ("emanation_class", "baud", "data", "data_hex", "sigma", "offset", "sample_rate",
+               "window_ms", "gap_ms")),
+    "recover": (cmd_recover, "decode serial data from a trace file", ("trace_file",),
+                ("baud", "hysteresis")),
+    "classify": (cmd_classify, "assign an emanation class to a trace", ("trace_file",),
+                 ("data", "data_hex", "baud", "gap_ms", "window_ms", "hysteresis")),
+    "sweep-stretch": (cmd_sweep_stretch, "pulse-stretch countermeasure sweep", (),
+                      ("baud", "data", "data_hex", "sigma", "sample_rate", "stretch_us")),
+    "diode": (cmd_diode, "run frames across the one-way optical link", (),
+              ("frames", "baud", "attenuation", "sigma", "offset")),
+}
+_HELP = {"out": "output directory", "emanation_class": "I, II or III",
+         "baud": "baud rate, or 'auto' for recover",
+         "data": "payload text (for classify, the reference traffic)",
+         "stretch_us": "comma-separated minimum lit durations in microseconds"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="ledleak",
@@ -314,52 +354,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, (func, help_text, positionals, keys) in _EXPERIMENTS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-
-    p = sub.add_parser("synth", help="synthesize a leakage trace")
-    add_common(p)
-    p.add_argument("--class", dest="emanation_class", choices=("I", "II", "III"), default=None)
-    p.add_argument("--baud", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--data-hex", dest="data_hex", default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--offset", type=float, default=None)
-    p.add_argument("--sample-rate", dest="sample_rate", type=float, default=None)
-    p.add_argument("--window-ms", dest="window_ms", type=float, default=None)
-    p.add_argument("--gap-ms", dest="gap_ms", type=float, default=None)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("recover", help="decode serial data from a trace file")
-    add_common(p)
-    p.add_argument("trace_file")
-    p.add_argument("--baud", default=None, help="baud rate or 'auto'")
-    p.add_argument("--hysteresis", type=float, default=None)
-    p.set_defaults(func=cmd_recover)
-
-    p = sub.add_parser("classify", help="assign an emanation class to a trace")
-    add_common(p)
-    p.add_argument("trace_file")
-    p.add_argument("--data", default=None, help="reference traffic")
-    p.add_argument("--data-hex", dest="data_hex", default=None)
-    p.add_argument("--baud", default=None)
-    p.add_argument("--gap-ms", dest="gap_ms", type=float, default=None)
-    p.add_argument("--window-ms", dest="window_ms", type=float, default=None)
-    p.add_argument("--hysteresis", type=float, default=None)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("sweep-stretch", help="pulse-stretch countermeasure sweep")
-    add_common(p)
-    p.add_argument("--baud", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--data-hex", dest="data_hex", default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--sample-rate", dest="sample_rate", type=float, default=None)
-    p.add_argument("--stretch-us", dest="stretch_us", default=None,
-                   help="comma-separated minimum lit durations in microseconds")
-    p.set_defaults(func=cmd_sweep_stretch)
+        for positional in positionals:
+            p.add_argument(positional)
+        for key in ("seed", "out", *keys):  # strings only: _load_config casts them
+            p.add_argument(_flag(key), dest=key, help=_HELP.get(key))
+        p.set_defaults(func=func)
+    sub.choices["diode"].add_argument(
+        "--wired-back", action="store_true",
+        help="use the wired-back negative-control link (expected to fail)")
 
     p = sub.add_parser("mac", help="frame building, validation, abort, cut-through peek")
     mac_sub = p.add_subparsers(dest="mac_action", required=True)
@@ -378,17 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("stream", nargs="?")
     a.add_argument("--abort-at", dest="abort_at", type=int, required=True)
     a.set_defaults(func=cmd_mac)
-
-    p = sub.add_parser("diode", help="run frames across the one-way optical link")
-    add_common(p)
-    p.add_argument("--frames", type=int, default=None)
-    p.add_argument("--baud", default=None)
-    p.add_argument("--attenuation", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--offset", type=float, default=None)
-    p.add_argument("--wired-back", action="store_true",
-                   help="use the wired-back negative-control link (expected to fail)")
-    p.set_defaults(func=cmd_diode)
 
     return parser
 

@@ -325,7 +325,7 @@ def add_noise(trace: OpticalTrace, noise: NoiseModel) -> OpticalTrace:
     out = trace.samples + noise.ambient_offset
     if noise.gaussian_sigma > 0:
         rng = np.random.default_rng(noise.seed)
-        out = out + rng.normal(0.0, noise.gaussian_sigma, size=out.size)
+        out += rng.normal(0.0, noise.gaussian_sigma, size=out.size)
     return OpticalTrace(trace.sample_rate, out, trace.origin_time)
 
 

@@ -71,7 +71,11 @@ def mac_address(value: bytes | str) -> bytes:
         parts = value.split(":")
         if len(parts) != 6:
             raise FrameError(f"bad MAC address {value!r}")
-        value = bytes(_hex_int(p, "MAC address octet") for p in parts)
+        octets = [_hex_int(p, "MAC address octet") for p in parts]
+        for part, octet in zip(parts, octets):
+            if octet > 0xFF:
+                raise FrameError(f"bad MAC address octet {part!r}: above ff")
+        value = bytes(octets)
     value = bytes(value)
     if len(value) != 6:
         raise FrameError(f"MAC address must be 6 octets, got {len(value)}")

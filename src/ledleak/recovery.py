@@ -88,13 +88,13 @@ def threshold_detect(trace: OpticalTrace, hysteresis_fraction: float = 0.2) -> L
     marks[s > mid + half_band] = 1
     marks[s < mid - half_band] = -1
     state0 = 1 if s[0] >= mid else 0
-    nz = np.flatnonzero(marks)
-    if nz.size == 0:
-        return LogicEventStream(state0, (), s.size / trace.sample_rate)
-    levels = (marks[nz] > 0).astype(np.int8)
-    seq = np.concatenate(([state0], levels))
-    flips = np.flatnonzero(np.diff(seq))
-    edges = tuple((nz[flips] / trace.sample_rate).tolist())
+    # Each run of equal marks outside the band flips the level if its side
+    # differs from that of the last such run, or from state0.
+    starts = np.concatenate(([0], np.flatnonzero(marks[1:] != marks[:-1]) + 1))
+    runs = marks[starts]
+    starts, sides = starts[runs != 0], (runs[runs != 0] > 0).astype(np.int8)
+    flips = np.flatnonzero(np.diff(sides, prepend=np.int8(state0)))
+    edges = tuple((starts[flips] / trace.sample_rate).tolist())
     return LogicEventStream(state0, edges, s.size / trace.sample_rate)
 
 

@@ -338,3 +338,29 @@ def leakage_mutual_information_mask(trace, data_line, bins: int = 16) -> float:
     nz = p > 0
     mi = float(np.sum(p[nz] * np.log2(p[nz] / (px @ py)[nz])))
     return max(0.0, mi)
+
+
+# ---------------------------------------------------------------------------
+# Hysteresis threshold detection (one sample at a time)
+# ---------------------------------------------------------------------------
+
+def threshold_detect_loop(trace, hysteresis_fraction: float = 0.2):
+    """(initial level, edge times, duration); ``None`` for an empty or flat trace."""
+    s = trace.samples.tolist()
+    if not s:
+        return None
+    lo_v, hi_v = min(s), max(s)
+    span = hi_v - lo_v
+    if span < 1e-9:
+        return None
+    mid = 0.5 * (lo_v + hi_v)
+    half_band = 0.5 * hysteresis_fraction * span
+    upper, lower = mid + half_band, mid - half_band
+    state = initial = 1 if s[0] >= mid else 0
+    edges = []
+    for i, v in enumerate(s):
+        level = 1 if v > upper else 0 if v < lower else state
+        if level != state:
+            edges.append(i / trace.sample_rate)
+            state = level
+    return initial, tuple(edges), len(s) / trace.sample_rate

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -13,12 +14,14 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from ledleak import diode
 from ledleak.cli import (
     EXIT_CONFIG,
     EXIT_NO_SIGNAL,
     EXIT_OK,
     EXIT_ONE_WAY,
     ExperimentConfig,
+    build_parser,
     main,
 )
 from ledleak.emanation import MAX_SAMPLES
@@ -215,6 +218,14 @@ class TestMacCli:
         assert code == EXIT_CONFIG
         assert "empty input" in err
 
+    def test_mac_octet_above_ff(self, capsys):
+        code, stdout, err = run(capsys, "mac", "build", "--dst", "aa:bb:cc:dd:ee:100",
+                                "--src", "1:2:3:4:5:6")
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert "MAC address octet '100'" in err
+
     def test_malformed_hex_error(self, capsys):
         code, _, err = run(capsys, "mac", "validate", "zz xx")
         assert code == EXIT_CONFIG
@@ -297,6 +308,13 @@ class TestDiodeCli:
             outs.append(stdout)
         assert outs[0] == outs[1]
         assert dir_bytes(a) == dir_bytes(b)
+
+    def test_baseline_runs_once(self, tmp_path, capsys):
+        """The traced run is the baseline; each adversary adds one run."""
+        with mock.patch("ledleak.diode.diode_send", wraps=diode.diode_send) as send:
+            code, _, err = run(capsys, "diode", "--frames", "2", "--out", str(tmp_path / "d"))
+        assert code == EXIT_OK, err
+        assert send.call_count == 1 + len(diode.standard_adversaries()) == 4
 
 
 class TestExperimentConfig:
@@ -661,3 +679,105 @@ class TestCliFuzz:
             assert_one_error_line(err)
         if expected is not None:
             assert code == expected, err
+
+
+# ---------------------------------------------------------------------------
+# One cast for flags and config files, and the flag set each subcommand takes
+# ---------------------------------------------------------------------------
+
+#: ``(command, flag, value)``: values each subcommand taking the flag rejects.
+_BAD_VALUES = [
+    *[(c, "--baud", "x") for c in ("synth", "recover", "classify", "sweep-stretch", "diode")],
+    *[(c, "--baud", "auto") for c in ("synth", "classify", "sweep-stretch", "diode")],
+    *[(c, "--sigma", "abc") for c in ("synth", "sweep-stretch", "diode")],
+    ("diode", "--frames", "1.5"),
+    ("synth", "--class", "IV"),
+    ("recover", "--hysteresis", "x"),
+    ("classify", "--window-ms", "x"),
+]
+_TRACE_ARG = {"recover", "classify"}
+
+
+class TestOneCast:
+    """Flag and ``--config`` values are cast and checked alike, before any
+    trace is read: the trace path given here does not exist."""
+
+    def argv(self, tmp_path, command):
+        trace = [str(tmp_path / "missing.optrace")] if command in _TRACE_ARG else []
+        return [command, *trace, "--out", str(tmp_path / "o")]
+
+    @pytest.mark.parametrize("command, flag, value", _BAD_VALUES)
+    def test_bad_flag_names_flag_and_value(self, tmp_path, capsys, command, flag, value):
+        code, stdout, err = run(capsys, *self.argv(tmp_path, command), flag, value)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert f"argument {flag}: " in err and repr(value) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag, value", _BAD_VALUES)
+    def test_bad_file_value_names_key_value_and_file(self, tmp_path, capsys,
+                                                      command, flag, value):
+        key = "emanation_class" if flag == "--class" else flag[2:].replace("-", "_")
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{key}={value}\n")
+        code, stdout, err = run(capsys, *self.argv(tmp_path, command), "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert f"config key {key!r} in {path}: " in err and repr(value) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_class_takes_the_config_file_spellings(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(capsys, "synth", "--class", "III", "--out", str(a))[0] == EXIT_OK
+        assert run(capsys, "synth", "--class", "content", "--out", str(b))[0] == EXIT_OK
+        assert dir_bytes(a) == dir_bytes(b)
+
+
+#: Every option string (and positional) each subparser takes. The five
+#: experiment subcommands also take ``-h``, ``--config``, ``--seed`` and ``--out``.
+_OPTION_STRINGS = {
+    "synth": {"--class", "--baud", "--data", "--data-hex", "--sigma", "--offset",
+              "--sample-rate", "--window-ms", "--gap-ms"},
+    "recover": {"trace_file", "--baud", "--hysteresis"},
+    "classify": {"trace_file", "--data", "--data-hex", "--baud", "--gap-ms", "--window-ms",
+                 "--hysteresis"},
+    "sweep-stretch": {"--baud", "--data", "--data-hex", "--sigma", "--sample-rate",
+                      "--stretch-us"},
+    "diode": {"--frames", "--baud", "--attenuation", "--sigma", "--offset", "--wired-back"},
+}
+_OPTION_STRINGS = {name: flags | {"-h", "--help", "--config", "--seed", "--out"}
+                   for name, flags in _OPTION_STRINGS.items()}
+_OPTION_STRINGS.update({
+    "mac build": {"-h", "--help", "--dst", "--src", "--ethertype", "--payload", "--payload-hex"},
+    "mac validate": {"-h", "--help", "stream"},
+    "mac peek": {"-h", "--help", "stream"},
+    "mac abort": {"-h", "--help", "stream", "--abort-at"},
+})
+
+
+def _option_strings(parser: argparse.ArgumentParser, prefix: str = "") -> dict:
+    """Option strings and positionals of each leaf subparser, by command."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix.strip(): {s for a in parser._actions for s in a.option_strings or [a.dest]}}
+    return {command: strings for name, sub in subs[0].choices.items()
+            for command, strings in _option_strings(sub, f"{prefix}{name} ").items()}
+
+
+class TestFlagTable:
+    def test_each_subcommand_takes_the_same_options(self):
+        assert _option_strings(build_parser()) == _OPTION_STRINGS
+
+    def test_fuzz_table_names_real_flags(self):
+        for command, flags in _COMMANDS.items():
+            name = " ".join(command[:2]) if command[:1] == ("mac",) else " ".join(command[:1])
+            assert set(flags) <= _OPTION_STRINGS.get(name, set()), command
+
+    @pytest.mark.parametrize("command", ["synth", "recover", "classify", "sweep-stretch", "diode"])
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: ledleak {command} ")

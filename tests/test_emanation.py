@@ -449,6 +449,15 @@ class TestAddNoise:
         c = add_noise(tr, NoiseModel(0.05, 0.0, 8))
         assert not np.array_equal(a.samples, c.samples)
 
+    @pytest.mark.parametrize("offset", [0.0, 0.25])
+    def test_offset_then_noise_leaves_input(self, offset):
+        tr = OpticalTrace(1e4, np.linspace(0, 1, 1000))
+        before = tr.samples.copy()
+        out = add_noise(tr, NoiseModel(0.05, offset, 7))
+        noise = np.random.default_rng(7).normal(0.0, 0.05, size=1000)
+        assert np.array_equal(out.samples, (before + offset) + noise)
+        assert np.array_equal(tr.samples, before)
+
 
 # ---------------------------------------------------------------------------
 # synthesize_class and profiles

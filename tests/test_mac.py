@@ -140,6 +140,11 @@ class TestBuildFrame:
         with pytest.raises(FrameError):
             mac_address(b"\x00" * 5)
 
+    def test_mac_address_octet_above_ff(self):
+        assert mac_address("001:02:03:04:05:0ff") == bytes([1, 2, 3, 4, 5, 255])
+        with pytest.raises(FrameError, match="MAC address octet '100'"):
+            mac_address("aa:bb:cc:dd:ee:100")
+
 
 # ---------------------------------------------------------------------------
 # MII marshalling

@@ -35,6 +35,7 @@ from ledleak.signals import LogicEventStream, NoiseModel, OpticalTrace, SerialCo
 from oracles import (
     ber_definition,
     leakage_mutual_information_mask,
+    threshold_detect_loop,
     uart_decode_loop,
     uart_encode_loop,
 )
@@ -80,6 +81,36 @@ class TestThresholdDetect:
             threshold_detect(tr, 0.5)
         with pytest.raises(ValueError):
             threshold_detect(tr, -0.01)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 300), st.integers(0, 2**32 - 1),
+           st.sampled_from(["noise", "square", "levels"]), st.sampled_from([0.0, 0.1, 0.2, 0.49]),
+           st.sampled_from([1e3, 1e6, 3.3e6, 44100.7]))
+    def test_matches_loop(self, n, seed, kind, hysteresis, rate):
+        rng = np.random.default_rng(seed)
+        if kind == "noise":
+            samples = rng.normal(0.0, 1.0, n)
+        elif kind == "square":
+            samples = (np.arange(n) // rng.integers(1, 20)) % 2 + rng.normal(0.0, 0.3, n)
+        else:  # few distinct values, so samples sit on the band edges and inside it
+            samples = rng.integers(0, 5, n) / 4.0
+        tr = OpticalTrace(rate, samples)
+        want = threshold_detect_loop(tr, hysteresis)
+        if want is None:
+            with pytest.raises(NoSignalError):
+                threshold_detect(tr, hysteresis)
+        else:
+            got = threshold_detect(tr, hysteresis)
+            assert (got.initial_level, got.edges, got.duration) == want
+
+    @pytest.mark.parametrize("min_on_bits", [0, 10])
+    def test_sweep_trace_matches_loop(self, min_on_bits):
+        data = np.random.default_rng(101).bytes(1024)
+        drive = DriveConfig(serial=CFG, pulse_stretch=min_on_bits * BIT)
+        profile = DeviceProfile(EmanationClass.CONTENT, LedModel(), drive)
+        tr = synthesize_class(profile, data, NoiseModel(0.02, 0.0, 101), 1e6)
+        got = threshold_detect(tr, 0.2)
+        assert (got.initial_level, got.edges, got.duration) == threshold_detect_loop(tr, 0.2)
 
 
 class TestEstimateBaud:

@@ -1,3 +1,6 @@
+import ctypes
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,3 +194,29 @@ class TestNoiseModel:
     def test_non_finite_rejected_by_name(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             NoiseModel(**kwargs)
+
+
+_LIBC = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def _mapped_bytes() -> int:
+    _LIBC.mallinfo2.argtypes = ()
+    _LIBC.mallinfo2.restype = _Mallinfo2
+    return _LIBC.mallinfo2().hblkhd
+
+
+@pytest.mark.skipif(not hasattr(_LIBC, "mallinfo2"), reason="needs glibc 2.33 or later")
+def test_trace_sized_array_mapped_after_one_freed():
+    # Unpinned, glibc would raise its threshold past 8 MiB on this free and
+    # serve the next array from the heap.
+    first = np.ones(2**20)
+    del first
+    before = _mapped_bytes()
+    second = np.ones(2**20)
+    assert _mapped_bytes() - before >= second.nbytes
