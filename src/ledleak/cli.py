@@ -90,9 +90,25 @@ def _baud(text: str) -> float:
         raise ConfigError(f"expected a number or 'auto', got {text!r}") from None
 
 
+def _stretch_seconds(text: str) -> list[float]:
+    """A ``stretch_us`` list in seconds; blank text is the empty list."""
+    try:
+        return [float(v) * 1e-6 for v in text.split(",")] if text.strip() else []
+    except ValueError:
+        raise ConfigError(f"expected comma-separated microseconds, got {text!r}") from None
+
+
+def _hex_octets(text: str) -> bytes:
+    try:
+        return bytes.fromhex(text)
+    except ValueError:
+        raise ConfigError(f"expected hex octets, got {text!r}") from None
+
+
 def _cast(key: str, text: str, where: str) -> int | float | str:
     """``text`` as the value of config key ``key``, by the key's field type;
-    a baud and a class label must also parse. Errors start with ``where``."""
+    a baud, a class label, a stretch list and hex octets must also parse.
+    Errors start with ``where``."""
     kind = _FIELD_TYPES[key]
     try:
         value = {"int": int, "float": float, "str": str}[kind](text)
@@ -100,6 +116,10 @@ def _cast(key: str, text: str, where: str) -> int | float | str:
             _baud(text)
         elif key == "emanation_class":
             emanation.EmanationClass.from_label(text)
+        elif key == "stretch_us":
+            _stretch_seconds(text)
+        elif key == "data_hex":
+            _hex_octets(text)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     except ValueError:
@@ -122,7 +142,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _payload_octets(cfg: ExperimentConfig) -> bytes:
     if cfg.data_hex:
-        return bytes.fromhex(cfg.data_hex)
+        return _hex_octets(cfg.data_hex)
     return cfg.data.encode()
 
 
@@ -202,9 +222,9 @@ def run_stretch_sweep(data: bytes, serial: SerialConfig, stretch_seconds: list[f
 
 def cmd_sweep_stretch(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    if not cfg.stretch_us.strip():
+    stretch = _stretch_seconds(cfg.stretch_us)
+    if not stretch:
         raise ConfigError("stretch sweep requires a nonempty --stretch-us list")
-    stretch = [float(v) * 1e-6 for v in cfg.stretch_us.split(",")]
     serial = _serial_config(cfg)
     data = _payload_octets(cfg)
     noise = NoiseModel(cfg.sigma, cfg.offset, cfg.seed)

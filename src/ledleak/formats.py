@@ -4,6 +4,13 @@ Trace files: ``# optrace v1 sample_rate_hz=<float> origin_s=<float>`` then
 one decimal sample per line. Event files: ``# optevents v1 initial=<0|1>
 duration_s=<float>`` then one edge timestamp per line. Floats are written
 with ``repr`` so files round-trip bit-exactly.
+
+Both readers take one ASCII decimal float per body line, as ``float`` reads
+it but without underscores, with whitespace around it; blank and
+whitespace-only lines are skipped, and lines may end in LF, CRLF or a bare
+CR. Any other line (two numbers, a comment, hex, a non-ASCII digit, bytes
+that are not UTF-8) is a :class:`ValueError` naming the file, the 1-based
+line number and the line. Non-finite samples then fail the value checks.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import tempfile
 from collections.abc import Iterable
 from itertools import chain
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -77,10 +85,68 @@ def write_trace(path: str | Path, trace: OpticalTrace) -> None:
     atomic_write_text(path, chain((header,), blocks))
 
 
+#: Characters read at a time while looking for the first sample.
+_PROBE_CHARS = 65536
+#: Name suffixes ``np.loadtxt`` opens through a decompressor.
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _bad_sample(line: str) -> bool:
+    """Whether a body line is neither blank nor one ASCII decimal float."""
+    text = line.strip()
+    if not text:
+        return False
+    if not text.isascii() or "_" in text:
+        return True
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _bad_line_error(fh: TextIO, path: str | Path) -> ValueError:
+    """The error for the first body line of ``fh`` that is not a sample."""
+    fh.seek(0)
+    fh.readline()
+    for number, line in enumerate(fh, start=2):
+        if _bad_sample(line):
+            text = line.rstrip("\n")
+            return ValueError(f"{path}, line {number}: expected one decimal number, got {text!r}")
+    return ValueError(f"{path} changed while it was read")
+
+
+def _read_samples(path: str | Path, magic: str) -> tuple[dict[str, str], np.ndarray]:
+    """The header fields and the samples of a trace or events file.
+
+    numpy's C parser reads the body from the path in chunks, converting
+    each sample as ``float`` does, so samples come back bit for bit. The
+    header comes from a handle held open meanwhile; if the path names
+    another file once the body is read, the read fails instead of pairing
+    one file's header with another's samples.
+    """
+    suffix = os.path.splitext(path)[1]
+    if suffix in _COMPRESSED_SUFFIXES:
+        raise ValueError(f"{path}: numpy reads a file named *{suffix} as compressed; rename it")
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        header = _header_fields(fh.readline().rstrip("\n"), magic)
+        if all(chunk.isspace() for chunk in iter(lambda: fh.read(_PROBE_CHARS), "")):
+            return header, np.empty(0)  # loadtxt would warn of an empty input
+        try:
+            # Absolute, so numpy never takes the path for a URL.
+            samples = np.loadtxt(os.path.join(os.getcwd(), path), comments=None, ndmin=2,
+                                 skiprows=1, encoding="utf-8")
+        except ValueError:
+            samples = None
+        if not os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
+            raise ValueError(f"{path} changed while it was read")
+        if samples is None or samples.shape[1] != 1:
+            raise _bad_line_error(fh, path)
+    return header, samples.reshape(-1)
+
+
 def read_trace(path: str | Path) -> OpticalTrace:
-    with open(path, encoding="utf-8") as fh:
-        header = _header_fields(fh.readline().rstrip("\n"), TRACE_MAGIC)
-        samples = np.fromiter((float(line) for line in fh if line.strip()), dtype=np.float64)
+    header, samples = _read_samples(path, TRACE_MAGIC)
     return OpticalTrace(float(header["sample_rate_hz"]), samples, float(header["origin_s"]))
 
 
@@ -90,10 +156,9 @@ def write_events(path: str | Path, events: LogicEventStream) -> None:
 
 
 def read_events(path: str | Path) -> LogicEventStream:
-    with open(path, encoding="utf-8") as fh:
-        header = _header_fields(fh.readline().rstrip("\n"), EVENTS_MAGIC)
-        edges = tuple(float(line) for line in fh if line.strip())
-    return LogicEventStream(int(header["initial"]), edges, float(header["duration_s"]))
+    header, edges = _read_samples(path, EVENTS_MAGIC)
+    return LogicEventStream(int(header["initial"]), tuple(edges.tolist()),
+                            float(header["duration_s"]))
 
 
 def octets_to_hexline(octets: bytes) -> str:

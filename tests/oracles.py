@@ -2,7 +2,8 @@
 expected test values.
 
 Everything here is deliberately brute force (bit-serial loops, dense
-sampling) and shares no code with the package under test.
+sampling) and shares no code with the package under test, but for the
+header parse and value types of the file readers.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ import math
 from bisect import bisect_left
 
 import numpy as np
+
+from ledleak.formats import EVENTS_MAGIC, TRACE_MAGIC, _header_fields
+from ledleak.signals import LogicEventStream, OpticalTrace
 
 
 # ---------------------------------------------------------------------------
@@ -364,3 +368,23 @@ def threshold_detect_loop(trace, hysteresis_fraction: float = 0.2):
             edges.append(i / trace.sample_rate)
             state = level
     return initial, tuple(edges), len(s) / trace.sample_rate
+
+
+# ---------------------------------------------------------------------------
+# optrace / optevents readers (one Python ``float`` per line)
+# ---------------------------------------------------------------------------
+# The header parse and the value types are the package's own: only the body
+# loops are the reference.
+
+def read_trace_loop(path):
+    with open(path, encoding="utf-8") as fh:
+        header = _header_fields(fh.readline().rstrip("\n"), TRACE_MAGIC)
+        samples = np.fromiter((float(line) for line in fh if line.strip()), dtype=np.float64)
+    return OpticalTrace(float(header["sample_rate_hz"]), samples, float(header["origin_s"]))
+
+
+def read_events_loop(path):
+    with open(path, encoding="utf-8") as fh:
+        header = _header_fields(fh.readline().rstrip("\n"), EVENTS_MAGIC)
+        edges = tuple(float(line) for line in fh if line.strip())
+    return LogicEventStream(int(header["initial"]), edges, float(header["duration_s"]))

@@ -433,6 +433,20 @@ class TestInputContract:
         assert field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["recover", "classify"])
+    @pytest.mark.parametrize("body, line", [(b"0.5\n1 2\n", "line 3: expected one decimal "
+                                             "number, got '1 2'"),
+                                            (b"0.5\r\n\xff\r\n", "line 3: expected one "
+                                             "decimal number, got '\\udcff'")])
+    def test_bad_trace_line_exits_config(self, tmp_path, capsys, command, body, line):
+        path = tmp_path / "t.optrace"
+        path.write_bytes(b"# optrace v1 sample_rate_hz=1000.0 origin_s=0.0\n" + body)
+        code, stdout, err = run(capsys, command, str(path))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert f"error: {path}, {line}" in err
+
     def test_classify_baud_auto_exits_config(self, tmp_path, capsys):
         path = tmp_path / "t.optrace"
         write_trace(path, OpticalTrace(1e4, np.linspace(0.0, 1.0, 8)))
@@ -563,9 +577,10 @@ def _optrace_body(draw) -> bytes:
         lines = [str(b) for b in [1] * 8 + [b for b in bits for _ in range(8)]]
     else:
         lines = draw(st.lists(st.sampled_from(
-            ["0", "1", "0.5", "-0.5", "1e-3", "nan", "inf", "x", "", "  ", "1 2", "\u0661"]),
+            ["0", "1", "0.5", "-0.5", "1e-3", "nan", "inf", "x", "", "  ", "1 2", "\u0661",
+             "1_0", "0x1p0", "#"]),
             max_size=60))
-    body = "\n".join([header, *lines]).encode()
+    body = draw(st.sampled_from(["\n", "\r\n", "\r"])).join([header, *lines]).encode()
     return body + draw(st.sampled_from([b"", b"", b"\n", b"\n", b"\xff\n"]))
 
 
@@ -578,7 +593,8 @@ def _optevents_body(draw) -> bytes:
                                    f"# optrace v1 sample_rate_hz=1e6 origin_s={duration}"]))
     lines = draw(st.lists(st.sampled_from(
         ["0", "0.001", "0.002", "0.01", "0.02", "-0.001", "nan", "inf", "x", ""]), max_size=8))
-    return "\n".join([header, *lines]).encode() + draw(st.sampled_from([b"", b"\n", b"\xff"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join([header, *lines]).encode() + draw(st.sampled_from([b"", b"\n", b"\xff"]))
 
 
 @st.composite
@@ -694,6 +710,8 @@ _BAD_VALUES = [
     ("synth", "--class", "IV"),
     ("recover", "--hysteresis", "x"),
     ("classify", "--window-ms", "x"),
+    ("sweep-stretch", "--stretch-us", "x,1"),
+    ("synth", "--data-hex", "zz"),
 ]
 _TRACE_ARG = {"recover", "classify"}
 

@@ -1,9 +1,15 @@
 import os
 import re
 import stat
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ledleak.formats import (
     atomic_write_text,
@@ -15,6 +21,7 @@ from ledleak.formats import (
     write_trace,
 )
 from ledleak.signals import LogicEventStream, OpticalTrace
+from oracles import read_events_loop, read_trace_loop
 
 
 def drop_header_key(path, key: str) -> None:
@@ -111,6 +118,204 @@ class TestEventFiles:
         path.write_text("# optevents v1 initial=0 duration_s=inf\n0.25\n")
         with pytest.raises(ValueError, match="duration"):
             read_events(path)
+
+
+TRACE_HEADER = b"# optrace v1 sample_rate_hz=1000.0 origin_s=0.0\n"
+EVENTS_HEADER = b"# optevents v1 initial=0 duration_s=10.0\n"
+
+#: Doubles at the edges of the format: signed zeros, the smallest subnormal,
+#: the largest subnormal, the smallest and largest normal, 17-digit values.
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, 0.30000000000000004,
+            1.0000000000000002, 1.2345678901234567e-300, 9.876543210987654e+299]
+
+
+def bad_line(path, number: int, text: str) -> str:
+    return re.escape(f"{path}, line {number}: expected one decimal number, got {text!r}")
+
+
+class TestSampleRoundTrip:
+    """Every file the writers emit reads back bit for bit, as the loop read it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    @example(EXTREMES)
+    def test_trace_round_trip_bit_identical(self, values):
+        samples = np.array(values, dtype=np.float64)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d, "t.optrace")
+            write_trace(path, OpticalTrace(1e6, samples))
+            back, ref = read_trace(path), read_trace_loop(path)
+        assert back.samples.tobytes() == samples.tobytes() == ref.samples.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.7976931348623157e308), unique=True, max_size=40))
+    @example(sorted(v for v in EXTREMES if v > 0))
+    @example([-0.0, 5e-324, 1.7976931348623157e308])
+    def test_events_round_trip_bit_identical(self, values):
+        edges = tuple(sorted(values))
+        events = LogicEventStream(1, edges, edges[-1] if edges else 0.0)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d, "e.optevents")
+            write_events(path, events)
+            back, ref = read_events(path), read_events_loop(path)
+        assert back == ref == events
+        assert np.array(back.edges).tobytes() == np.array(edges).tobytes()
+        assert np.array(ref.edges).tobytes() == np.array(edges).tobytes()
+
+
+#: Bodies the loop reader took, which must read to the same array.
+ACCEPTED = [
+    b"", b"\n", b"1", b"1\n2\n", b"  1.5\t\n", b"\n\n1\n \t\n2\n", b"1\r\n2\r\n", b"1\r2\r",
+    b"1\r\n\r\n2\r", b"1\n\r\n\r2\n", b"\x0c1\x0b\n\x1c\n", "\u2003\n1\u00a0\n\x85\n".encode(),
+    b"+.5e-3\n-0.0\n1.\n", b"5e-324\n1e-400\n", b"0.30000000000000004\n1E+308\n",
+]
+#: Bodies both readers refuse, with the line the error names.
+REJECTED = [
+    (b"1 2\n", 2, "1 2"), (b"1\n1 2\n", 3, "1 2"), (b"1 2\n3 4\n", 2, "1 2"),
+    (b"#x\n", 2, "#x"), (b"1\n\n#\n", 4, "#"), (b"0x10\n", 2, "0x10"),
+    (b"0x1p0\n", 2, "0x1p0"), (b"1.5,2\n", 2, "1.5,2"), (b"\xff\n", 2, "\udcff"),
+    (b"1\r\n\r\n\xff2\r\n", 4, "\udcff2"), (b"1\rx\r", 3, "x"), (b".\n", 2, "."),
+    (b"1e\n", 2, "1e"), (b"1\x002\n", 2, "1\x002"), (b"1\x0c2\n", 2, "1\x0c2"),
+    ("1\u20032\n".encode(), 2, "1\u20032"), (b"(1)\n", 2, "(1)"), (b"1j\n", 2, "1j"),
+]
+#: Bodies the loop reader took and this one refuses; ``write_trace`` never
+#: writes them.
+TIGHTENED = [(b"1_0\n", 2, "1_0"), ("\u0661\n".encode(), 2, "\u0661"),
+             ("1\n\uff15\n".encode(), 3, "\uff15")]
+NON_FINITE = [b"nan\n", b"1\ninf\n", b"-Infinity\n", b"1e999\n"]
+
+
+class TestSampleGrammar:
+    @pytest.mark.parametrize("body", ACCEPTED)
+    def test_accepted_reads_as_loop(self, tmp_path, body):
+        path = tmp_path / "t.optrace"
+        path.write_bytes(TRACE_HEADER + body)
+        assert read_trace(path).samples.tobytes() == read_trace_loop(path).samples.tobytes()
+
+    @pytest.mark.parametrize("body, number, text", REJECTED)
+    def test_rejected_names_file_line_and_text(self, tmp_path, body, number, text):
+        path = tmp_path / "t.optrace"
+        path.write_bytes(TRACE_HEADER + body)
+        with pytest.raises(ValueError):
+            read_trace_loop(path)
+        with pytest.raises(ValueError, match=bad_line(path, number, text)):
+            read_trace(path)
+
+    @pytest.mark.parametrize("body, number, text", TIGHTENED)
+    def test_tightened_names_file_line_and_text(self, tmp_path, body, number, text):
+        path = tmp_path / "t.optrace"
+        path.write_bytes(TRACE_HEADER + body)
+        read_trace_loop(path)
+        with pytest.raises(ValueError, match=bad_line(path, number, text)):
+            read_trace(path)
+
+    @pytest.mark.parametrize("body", NON_FINITE)
+    def test_non_finite_fails_finiteness(self, tmp_path, body):
+        path = tmp_path / "t.optrace"
+        path.write_bytes(TRACE_HEADER + body)
+        for read in (read_trace_loop, read_trace):
+            with pytest.raises(ValueError, match="samples must all be finite"):
+                read(path)
+
+    @pytest.mark.parametrize("body, edges", [
+        (b"1\r\n\r\n2\r", (1.0, 2.0)), (b" 0 \n\n", (0.0,)), (b"", ())])
+    def test_events_accepted(self, tmp_path, body, edges):
+        path = tmp_path / "e.optevents"
+        path.write_bytes(EVENTS_HEADER + body)
+        assert read_events(path) == read_events_loop(path) == LogicEventStream(0, edges, 10.0)
+
+    @pytest.mark.parametrize("body, number, text", [*REJECTED[:3], *TIGHTENED])
+    def test_events_rejected_names_file_line_and_text(self, tmp_path, body, number, text):
+        path = tmp_path / "e.optevents"
+        path.write_bytes(EVENTS_HEADER + body)
+        with pytest.raises(ValueError, match=bad_line(path, number, text)):
+            read_events(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text("0123456789.eE+-_ \t\x0b\x0c#x,nafi\u0661\u2003", max_size=6),
+                    max_size=6),
+           st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_random_lines_read_as_loop(self, lines, end):
+        """The loop's verdict and array, but for lines that are not ASCII or
+        hold an underscore, which the loop may take and this reader refuses."""
+        tightened = any(not t.isascii() or "_" in t for t in map(str.strip, lines) if t)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d, "t.optrace")
+            path.write_bytes(TRACE_HEADER + end.join(lines).encode())
+            try:
+                expected = read_trace_loop(path).samples.tobytes()
+            except ValueError:
+                expected = None
+            try:
+                got = read_trace(path).samples.tobytes()
+            except ValueError:
+                got = None
+        assert got == (None if tightened else expected)
+
+
+class TestSampleReader:
+    @pytest.mark.parametrize("body", [b"", b"\n", b" \n\t\r\n\x0c\n"])
+    def test_empty_trace_reads_without_warning(self, tmp_path, body):
+        path = tmp_path / "t.optrace"
+        path.write_bytes(TRACE_HEADER + body)
+        events = tmp_path / "e.optevents"
+        events.write_bytes(EVENTS_HEADER + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert read_trace(path).n_samples == 0
+            assert read_events(events).edges == ()
+        assert caught == []
+
+    def test_file_replaced_before_body_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.optrace"
+        write_trace(path, OpticalTrace(100.0, np.zeros(3)))
+        load = np.loadtxt
+
+        def replace_then_load(*args, **kwargs):
+            write_trace(path, OpticalTrace(200.0, np.ones(5)))
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", replace_then_load)
+        with pytest.raises(ValueError, match=re.escape(f"{path} changed while it was read")):
+            read_trace(path)
+
+    def test_file_rewritten_in_place_after_a_bad_body(self, tmp_path, monkeypatch):
+        """The bad line the parser met is gone when the reader looks for it."""
+        path = tmp_path / "t.optrace"
+        path.write_bytes(TRACE_HEADER + b"0.5\nx\n")
+        load = np.loadtxt
+
+        def load_then_rewrite(*args, **kwargs):
+            try:
+                return load(*args, **kwargs)
+            finally:
+                with open(path, "r+b") as fh:
+                    fh.write(TRACE_HEADER + b"0.5\n1\n")
+
+        monkeypatch.setattr(np, "loadtxt", load_then_rewrite)
+        with pytest.raises(ValueError, match=re.escape(f"{path} changed while it was read")):
+            read_trace(path)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_named(self, tmp_path, suffix):
+        path = tmp_path / f"t{suffix}"
+        write_trace(path, OpticalTrace(100.0, np.zeros(3)))
+        with pytest.raises(ValueError, match=re.escape(f"*{suffix} as compressed")):
+            read_trace(path)
+
+    def test_read_peak_memory_bounded(self, tmp_path):
+        samples = np.random.default_rng(3).normal(0.5, 0.1, 2**18)
+        path = tmp_path / "t.optrace"
+        write_trace(path, OpticalTrace(1e6, samples))
+        tracemalloc.start()
+        try:
+            trace = read_trace(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.samples.tobytes() == samples.tobytes()
+        assert peak < 4 * samples.nbytes
 
 
 class TestHexFormats:
