@@ -267,7 +267,12 @@ def cmd_mac(args: argparse.Namespace) -> int:
     action = args.mac_action
     if action == "build":
         try:
-            payload = bytes.fromhex(args.payload_hex) if args.payload_hex else args.payload.encode()
+            payload = _hex_octets(args.payload_hex) if args.payload_hex else None
+        except ConfigError as exc:
+            raise ConfigError(f"argument --payload-hex: {exc}") from None
+        try:
+            if payload is None:
+                payload = args.payload.encode()
             dst, src = mac.mac_address(args.dst), mac.mac_address(args.src)
             ethertype = mac.ethertype_bytes(args.ethertype)
         except ValueError as exc:

@@ -79,9 +79,8 @@ def photodiode_receive(trace: OpticalTrace, rx: ReceiverCircuit) -> LogicEventSt
     if logic.size == 0:
         return LogicEventStream(1, (), 0.0)
     flips = np.flatnonzero(np.diff(logic.astype(np.int8)))
-    edges = tuple(((flips + 1) / trace.sample_rate).tolist())
     duration = logic.size / trace.sample_rate
-    return LogicEventStream(int(logic[0]), edges, duration)
+    return LogicEventStream(int(logic[0]), (flips + 1) / trace.sample_rate, duration)
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,6 @@ class ReceiverPort:
         self.decoded: list[bytes] = []
         self.results: list[ValidationResult] = []
         self.injected_total = 0
-        self.reads = 0
         self._pending = bytearray()
 
     def inject(self, octets: bytes) -> None:
@@ -200,7 +198,6 @@ class ReceiverPort:
         self.results.append(result)
 
     def snapshot(self) -> dict:
-        self.reads += 1
         return {
             "decoded": list(self.decoded),
             "accepted": sum(r.accepted for r in self.results),
@@ -295,14 +292,6 @@ class UnidirectionalEvidence:
     audit_ok: bool
     baseline_digest: str
     adversarial_digest: str
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "audit_ok": self.audit_ok,
-            "baseline_digest": self.baseline_digest,
-            "adversarial_digest": self.adversarial_digest,
-        }
 
 
 def assert_unidirectional(link: DiodeLink, adversary, frames: list[EthernetFrame],

@@ -155,15 +155,16 @@ def uart_encode(data: bytes, cfg: SerialConfig) -> LogicEventStream:
     octet, cell = np.divmod(flips, cells.shape[1])
     edges = octet.astype(np.float64) * cfg.frame_time + cell.astype(np.float64) * bit
     duration = len(data) * cfg.frame_time + bit
-    return LogicEventStream(1, tuple(edges.tolist()), duration)
+    return LogicEventStream(1, edges, duration)
 
 
 #: ``np.exp(-x)`` is exactly 0.0 for x >= 746: the smallest subnormal double is e^-744.4.
 _EXP_UNDERFLOW = 746.0
-#: Head samples per batch of whole segments: temporaries stay near 64 KiB (a
-#: single long head aside), below glibc's initial 128 KiB mmap threshold.
-#: Mapping and unmapping larger ones raises that threshold, and with it the
-#: peak RSS of whatever the process allocates next.
+#: Head samples per batch of whole segments: the head temporaries stay near
+#: 64 KiB (a single long head aside) rather than growing with all the head
+#: samples of an edge-dense line or a slow LED. Under a C library other than
+#: glibc, whose mmap threshold ``signals`` does not pin, small temporaries
+#: also keep a sliding threshold from rising and lifting the peak RSS.
 _HEAD_BATCH = 8192
 
 
@@ -197,7 +198,7 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float,
             stacklevel=2,
         )
     n = int(round(line.duration * sample_rate))
-    bounds = np.array((0.0,) + line.edges + (line.duration,))
+    bounds = np.concatenate(([0.0], line.edge_array, [line.duration]))
     starts_at = bounds[:-1]
     seconds = np.diff(bounds)
     first_lit = line.initial_level if active_high else 1 - line.initial_level
@@ -282,7 +283,7 @@ def union_stream(intervals, duration: float, on_before_start: bool,
     if on_before_start and edges and edges[0] == 0.0:
         edges.pop(0)
         initial = 1
-    return LogicEventStream(initial, tuple(edges), duration)
+    return LogicEventStream(initial, edges, duration)
 
 
 def apply_pulse_stretch(line: LogicEventStream, min_on: float) -> LogicEventStream:
@@ -342,7 +343,7 @@ def _schedule_stream(schedule: tuple[tuple[float, int], ...], duration: float) -
         if level != cur:
             edges.append(t)
             cur = level
-    return LogicEventStream(initial, tuple(edges), duration)
+    return LogicEventStream(initial, edges, duration)
 
 
 def drive_stream(profile: DeviceProfile, data: bytes) -> LogicEventStream:

@@ -11,6 +11,8 @@ whitespace-only lines are skipped, and lines may end in LF, CRLF or a bare
 CR. Any other line (two numbers, a comment, hex, a non-ASCII digit, bytes
 that are not UTF-8) is a :class:`ValueError` naming the file, the 1-based
 line number and the line. Non-finite samples then fail the value checks.
+A bad header is an error naming the file, and a header value that does not
+parse names its key and the value; the header is checked before the body.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ def atomic_write_text(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
-#: Header keys each file kind must carry.
-_HEADER_KEYS = {TRACE_MAGIC: ("sample_rate_hz", "origin_s"),
-                EVENTS_MAGIC: ("initial", "duration_s")}
+#: Header keys each file kind must carry, and the type each value parses as.
+_HEADER_KEYS = {TRACE_MAGIC: {"sample_rate_hz": float, "origin_s": float},
+                EVENTS_MAGIC: {"initial": int, "duration_s": float}}
 
 
 def _header_fields(line: str, magic: str) -> dict[str, str]:
@@ -116,8 +118,25 @@ def _bad_line_error(fh: TextIO, path: str | Path) -> ValueError:
     return ValueError(f"{path} changed while it was read")
 
 
-def _read_samples(path: str | Path, magic: str) -> tuple[dict[str, str], np.ndarray]:
-    """The header fields and the samples of a trace or events file.
+def _read_header(fh: TextIO, path: str | Path, magic: str) -> dict[str, float | int]:
+    """The header values of an open trace or events file, parsed by key;
+    errors name the file, and a value that does not parse names its key."""
+    try:
+        fields = _header_fields(fh.readline().rstrip("\n"), magic)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    values = {}
+    for key, kind in _HEADER_KEYS[magic].items():
+        try:
+            values[key] = kind(fields[key])
+        except ValueError:
+            raise ValueError(f"{path}: header {key}: expected {kind.__name__}, "
+                             f"got {fields[key]!r}") from None
+    return values
+
+
+def _read_samples(path: str | Path, magic: str) -> tuple[dict[str, float | int], np.ndarray]:
+    """The header values and the samples of a trace or events file.
 
     numpy's C parser reads the body from the path in chunks, converting
     each sample as ``float`` does, so samples come back bit for bit. The
@@ -129,7 +148,7 @@ def _read_samples(path: str | Path, magic: str) -> tuple[dict[str, str], np.ndar
     if suffix in _COMPRESSED_SUFFIXES:
         raise ValueError(f"{path}: numpy reads a file named *{suffix} as compressed; rename it")
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        header = _header_fields(fh.readline().rstrip("\n"), magic)
+        header = _read_header(fh, path, magic)
         if all(chunk.isspace() for chunk in iter(lambda: fh.read(_PROBE_CHARS), "")):
             return header, np.empty(0)  # loadtxt would warn of an empty input
         try:
@@ -147,7 +166,7 @@ def _read_samples(path: str | Path, magic: str) -> tuple[dict[str, str], np.ndar
 
 def read_trace(path: str | Path) -> OpticalTrace:
     header, samples = _read_samples(path, TRACE_MAGIC)
-    return OpticalTrace(float(header["sample_rate_hz"]), samples, float(header["origin_s"]))
+    return OpticalTrace(header["sample_rate_hz"], samples, header["origin_s"])
 
 
 def write_events(path: str | Path, events: LogicEventStream) -> None:
@@ -157,8 +176,7 @@ def write_events(path: str | Path, events: LogicEventStream) -> None:
 
 def read_events(path: str | Path) -> LogicEventStream:
     header, edges = _read_samples(path, EVENTS_MAGIC)
-    return LogicEventStream(int(header["initial"]), tuple(edges.tolist()),
-                            float(header["duration_s"]))
+    return LogicEventStream(header["initial"], edges, header["duration_s"])
 
 
 def octets_to_hexline(octets: bytes) -> str:

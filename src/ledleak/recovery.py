@@ -94,8 +94,7 @@ def threshold_detect(trace: OpticalTrace, hysteresis_fraction: float = 0.2) -> L
     runs = marks[starts]
     starts, sides = starts[runs != 0], (runs[runs != 0] > 0).astype(np.int8)
     flips = np.flatnonzero(np.diff(sides, prepend=np.int8(state0)))
-    edges = tuple((starts[flips] / trace.sample_rate).tolist())
-    return LogicEventStream(state0, edges, s.size / trace.sample_rate)
+    return LogicEventStream(state0, starts[flips] / trace.sample_rate, s.size / trace.sample_rate)
 
 
 def estimate_baud(events: LogicEventStream, candidates: tuple[float, ...] | None = None) -> float:
@@ -125,7 +124,8 @@ def estimate_baud(events: LogicEventStream, candidates: tuple[float, ...] | None
 
 
 #: Bit-centre levels read per block of candidate starts: temporaries stay
-#: near 64 KiB however many edges a noisy trace has, as in ``led_transduce``.
+#: near 64 KiB rather than growing with the edges of a noisy trace, and small
+#: enough for the reasons given at ``emanation._HEAD_BATCH``.
 _DECODE_BATCH = 8192
 
 

@@ -99,6 +99,11 @@ class LogicEventStream:
     An edge at time ``t`` means the level flips at ``t`` and the new level
     holds for all later instants (right-continuous). All timestamps are in
     seconds within ``[0, duration]``, and ``duration`` is finite.
+
+    ``edges`` may be any 1-D sequence or array of numbers. It is copied
+    once into a read-only float64 array, :attr:`edge_array`, and kept as a
+    tuple of Python floats, so later writes to the caller's array never
+    reach the stream.
     """
 
     initial_level: int
@@ -110,9 +115,9 @@ class LogicEventStream:
             raise ValueError(f"initial_level must be 0 or 1, got {self.initial_level}")
         if not 0 <= self.duration < float("inf"):
             raise ValueError(f"duration must be >= 0 and finite, got {self.duration}")
-        edges = tuple(map(float, self.edges))
-        object.__setattr__(self, "edges", edges)
-        arr = np.array(edges, dtype=np.float64)
+        arr = np.array(self.edges, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError(f"edges must be one-dimensional, got {arr.ndim} dimensions")
         if arr.size:
             if not np.all(np.diff(arr) > 0):
                 raise ValueError("edge timestamps must be strictly increasing")
@@ -120,6 +125,7 @@ class LogicEventStream:
                 raise ValueError("edge timestamps must lie within [0, duration]")
         arr.setflags(write=False)
         object.__setattr__(self, "_edge_array", arr)
+        object.__setattr__(self, "edges", tuple(arr.tolist()))
 
     @property
     def edge_array(self) -> np.ndarray:
@@ -149,7 +155,7 @@ class LogicEventStream:
         return np.repeat(levels, runs)
 
     def invert(self) -> "LogicEventStream":
-        return LogicEventStream(1 - self.initial_level, self.edges, self.duration)
+        return LogicEventStream(1 - self.initial_level, self._edge_array, self.duration)
 
     def intervals(self, level: int = 1) -> list[tuple[float, float]]:
         """Maximal intervals during which the stream holds ``level``."""

@@ -226,6 +226,15 @@ class TestMacCli:
         assert_one_error_line(err)
         assert "MAC address octet '100'" in err
 
+    @pytest.mark.parametrize("value", ["zz", "0", "\u0663\u0663"])
+    def test_bad_payload_hex_names_flag_and_value(self, capsys, value):
+        code, stdout, err = run(capsys, "mac", "build", "--dst", self.DST, "--src", self.SRC,
+                                "--payload-hex", value)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert err.startswith("error: argument --payload-hex: ") and repr(value) in err
+
     def test_malformed_hex_error(self, capsys):
         code, _, err = run(capsys, "mac", "validate", "zz xx")
         assert code == EXIT_CONFIG

@@ -120,6 +120,40 @@ class TestEventFiles:
             read_events(path)
 
 
+class TestHeaderErrors:
+    """Header errors name the file, and a value that does not parse names
+    its key and the value."""
+
+    @pytest.mark.parametrize("reader, header, message", [
+        (read_trace, "# optrace v1 sample_rate_hz=x origin_s=0.0",
+         "header sample_rate_hz: expected float, got 'x'"),
+        (read_trace, "# optrace v1 sample_rate_hz=1000.0 origin_s=0..5",
+         "header origin_s: expected float, got '0..5'"),
+        (read_events, "# optevents v1 initial=1.5 duration_s=1.0",
+         "header initial: expected int, got '1.5'"),
+        (read_events, "# optevents v1 initial=0 duration_s=",
+         "header duration_s: expected float, got ''"),
+        (read_trace, "# optrace v2 sample_rate_hz=1000.0 origin_s=0.0",
+         "not a '# optrace v1' file"),
+        (read_events, "# optrace v1 sample_rate_hz=1000.0 origin_s=0.0",
+         "not a '# optevents v1' file"),
+        (read_trace, "# optrace v1 origin_s=0.0", "'# optrace v1' header lacks sample_rate_hz="),
+        (read_events, "# optevents v1 initial=0", "'# optevents v1' header lacks duration_s="),
+    ])
+    def test_names_file_and_key(self, tmp_path, reader, header, message):
+        path = tmp_path / "f.txt"
+        path.write_text(header + "\n0.25\n")
+        with pytest.raises(ValueError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_header_checked_before_body(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("# optrace v1 sample_rate_hz=x origin_s=0.0\nnot a number\n")
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            read_trace(path)
+
+
 TRACE_HEADER = b"# optrace v1 sample_rate_hz=1000.0 origin_s=0.0\n"
 EVENTS_HEADER = b"# optevents v1 initial=0 duration_s=10.0\n"
 

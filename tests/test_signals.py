@@ -114,6 +114,28 @@ class TestLogicEventStream:
         with pytest.raises(ValueError):
             s.edge_array[0] = 0.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e3), unique=True, max_size=40).map(sorted),
+           st.integers(0, 1))
+    def test_array_edges_make_the_tuple_stream(self, times, initial):
+        """Edges given as an array build the stream their tuple builds, and
+        the stream keeps its own copy."""
+        arr = np.array(times, dtype=np.float64)
+        s = LogicEventStream(initial, arr, 1e3)
+        t = LogicEventStream(initial, tuple(arr.tolist()), 1e3)
+        assert s == t and hash(s) == hash(t)
+        assert s.edges == t.edges and all(type(e) is float for e in s.edges)
+        assert s.edge_array.tobytes() == t.edge_array.tobytes()
+        assert not s.edge_array.flags.writeable
+        arr[:] = -1.0
+        assert s.edges == t.edges and s.edge_array.tobytes() == t.edge_array.tobytes()
+        assert s.invert().invert() == s
+
+    @pytest.mark.parametrize("edges", [1.0, np.float64(1.0), [[1.0, 2.0]], np.zeros((2, 0))])
+    def test_edges_must_be_one_dimensional(self, edges):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            LogicEventStream(0, edges, 5.0)
+
 
 _FRACTIONS = st.lists(st.floats(0.0, 1.0), max_size=60)
 
