@@ -31,7 +31,7 @@ EXIT_ONE_WAY = 3
 
 @dataclass
 class ExperimentConfig:
-    """Flat experiment parameters, serialisable as key=value lines. Key ``k``
+    """Flat experiment parameters, read from key=value lines. Key ``k``
     is also the flag ``--k`` (dashes for underscores; ``--class`` for
     ``emanation_class``); flag and file values share one cast, :func:`_cast`."""
 
@@ -50,10 +50,6 @@ class ExperimentConfig:
     frames: int = 10
     attenuation: float = 0.8
     hysteresis: float = 0.2
-
-    def to_file(self, path: str | Path) -> None:
-        formats.atomic_write_text(
-            path, (f"{f.name}={getattr(self, f.name)}\n" for f in dataclasses.fields(self)))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -233,9 +229,9 @@ def cmd_sweep_stretch(args: argparse.Namespace) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep_stretch.csv"
-    lines = ["min_on_s,ber,mi_bits\n"]
-    lines.extend(f"{r['min_on_s']!r},{r['ber']!r},{r['mi_bits']!r}\n" for r in rows)
-    formats.atomic_write_text(csv_path, lines)
+    with formats.atomic_open(csv_path) as fh:
+        fh.write("min_on_s,ber,mi_bits\n")
+        fh.writelines(f"{r['min_on_s']!r},{r['ber']!r},{r['mi_bits']!r}\n" for r in rows)
     print(csv_path)
 
     bers = [r["ber"] for r in rows]
@@ -315,20 +311,24 @@ def cmd_diode(args: argparse.Namespace) -> int:
     serial = SerialConfig(baud=_baud(cfg.baud))
     link_type = diode.WiredBackLink if args.wired_back else diode.DiodeLink
     link = link_type(
-        tx_led=emanation.LedModel(),
         channel_attenuation=cfg.attenuation,
-        rx=diode.ReceiverCircuit(),
         sample_rate=16 * serial.baud,
         serial_cfg=serial,
     )
     frames = _deterministic_frames(cfg.frames, cfg.seed)
     noise = NoiseModel(cfg.sigma, cfg.offset, cfg.seed)
-    report, _, emitted, received = diode.diode_send(frames, link, noise, collect_traces=True)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    formats.write_trace(out / "emitted.optrace", emitted)
-    formats.write_trace(out / "received.optrace", received)
+    with formats.trace_writer(out / "emitted.optrace", link.sample_rate) as write_emitted, \
+            formats.trace_writer(out / "received.optrace", link.sample_rate) as write_received:
+        def written(runs):
+            for emitted, arrived, result in runs:
+                write_emitted(emitted.samples)
+                write_received(arrived.samples)
+                yield emitted, arrived, result
+
+        report, _ = diode.link_report(written(diode.link_frames(frames, link, noise)))
     print(json.dumps(report.to_dict(), sort_keys=True))
 
     # The run above is the baseline of diode.assert_unidirectional's check.

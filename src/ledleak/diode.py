@@ -18,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import inspect
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,9 +119,9 @@ class DiodeLink:
 
     Emitter parameters (``tx_led``, ``serial_cfg``, ``sample_rate``) are
     never readable or writable through receive-side operations; the
-    receive side only ever sees the photodiode node. The two hook methods
-    are constant no-ops here and exist so the wired-back negative control
-    can demonstrate what a violation looks like.
+    receive side only ever sees the photodiode node. :meth:`back_channel`
+    returns ``None`` here; it exists so the wired-back negative control can
+    demonstrate what a violation looks like.
     """
 
     tx_led: LedModel = LedModel()
@@ -135,14 +136,9 @@ class DiodeLink:
         if not 0 < self.sample_rate < float("inf"):
             raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
 
-    def emitter_bias(self) -> float:
-        return 0.0
-
-    def on_frame_received(self, port: "ReceiverPort") -> None:
-        pass
-
-    def reset_receive_taps(self) -> None:
-        pass
+    def back_channel(self) -> Callable[[ReceiverPort], float] | None:
+        """The coupling from receive side to emitter for one run: none."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -230,31 +226,23 @@ def interface_partition_audit() -> bool:
     return params <= _EMITTER_ALLOWED_INPUTS and params.isdisjoint(_RECEIVE_SIDE_OUTPUTS)
 
 
-def diode_send(frames: list[EthernetFrame], link: DiodeLink, noise: NoiseModel,
-               rx_program=None, collect_traces: bool = False):
-    """Send frames across the link and tally what survives.
+def link_frames(frames: Iterable[EthernetFrame], link: DiodeLink, noise: NoiseModel,
+                rx_program=None) -> Iterator[tuple[OpticalTrace, OpticalTrace, ValidationResult]]:
+    """Send frames across the link one at a time.
 
     Per frame: serialize, UART-encode, light the transmit LED, attenuate,
-    receive at the photodiode node, re-invert, decode, and validate. The
-    emitter trace digest covers the light as emitted, before the channel.
-    Losses are counted, never raised.
-
-    Returns ``(report, accepted_frames)``, plus the concatenated emitted
-    and received traces when ``collect_traces`` is set.
+    receive at the photodiode node, re-invert, decode, and validate, then
+    run ``rx_program`` on the receive port. Yields ``(emitted, arrived,
+    result)``: the light as emitted, the light at the photodiode, and the
+    validation result. Losses are results, never raised.
     """
-    link.reset_receive_taps()
-    digest = hashlib.sha256()
+    back = link.back_channel()
+    bias = 0.0
     port = ReceiverPort(link.rx)
-    accepted: list[EthernetFrame] = []
-    reasons: Counter = Counter()
-    emitted_parts: list[np.ndarray] = []
-    received_parts: list[np.ndarray] = []
     preamble = PREAMBLE_OCTETS + bytes([SFD_OCTET])
     for index, frame in enumerate(frames):
         wire = preamble + frame.serialize()
-        emitted = _emit_frame(wire, link.serial_cfg, link.tx_led,
-                              link.sample_rate, bias=link.emitter_bias())
-        digest.update(emitted.samples.tobytes())
+        emitted = _emit_frame(wire, link.serial_cfg, link.tx_led, link.sample_rate, bias=bias)
 
         channel = OpticalTrace(link.sample_rate, emitted.samples * link.channel_attenuation)
         frame_noise = NoiseModel(noise.gaussian_sigma, noise.ambient_offset,
@@ -266,24 +254,38 @@ def diode_send(frames: list[EthernetFrame], link: DiodeLink, noise: NoiseModel,
         octets = port.take_injected() + decode.octets
         result = validate_frame(MiiNibbleStream(octets_to_nibbles(octets)))
         port.record(decode.octets, result)
+
+        if rx_program is not None:
+            rx_program(port, index)
+        if back is not None:
+            bias = back(port)
+        yield emitted, arrived, result
+
+
+def link_report(runs: Iterable[tuple[OpticalTrace, OpticalTrace, ValidationResult]]
+                ) -> tuple[LinkReport, list[EthernetFrame]]:
+    """Tally :func:`link_frames` output: the report, whose digest covers the
+    light as emitted, before the channel, and the accepted frames."""
+    digest = hashlib.sha256()
+    accepted: list[EthernetFrame] = []
+    reasons: Counter = Counter()
+    for emitted, _, result in runs:
+        digest.update(emitted.samples.tobytes())
         if result.accepted:
             accepted.append(result.frame)
         else:
             reasons[result.reason] += 1
-
-        if rx_program is not None:
-            rx_program(port, index)
-        link.on_frame_received(port)
-        if collect_traces:
-            emitted_parts.append(emitted.samples)
-            received_parts.append(arrived.samples)
-    report = LinkReport(len(frames), len(accepted), len(frames) - len(accepted),
+    rejected = reasons.total()
+    report = LinkReport(len(accepted) + rejected, len(accepted), rejected,
                         tuple(sorted(reasons.items())), digest.hexdigest())
-    if collect_traces:
-        cat = lambda parts: np.concatenate(parts) if parts else np.empty(0)
-        return report, accepted, OpticalTrace(link.sample_rate, cat(emitted_parts)), \
-            OpticalTrace(link.sample_rate, cat(received_parts))
     return report, accepted
+
+
+def diode_send(frames: list[EthernetFrame], link: DiodeLink, noise: NoiseModel,
+               rx_program=None) -> tuple[LinkReport, list[EthernetFrame]]:
+    """Send frames across the link and tally what survives:
+    ``(report, accepted_frames)``."""
+    return link_report(link_frames(frames, link, noise, rx_program))
 
 
 @dataclass(frozen=True)
@@ -349,14 +351,14 @@ class WiredBackLink(DiodeLink):
     unidirectionality check has something to fail on.
     """
 
-    _tap: dict = field(default_factory=dict, compare=False, repr=False)
+    def back_channel(self) -> Callable[[ReceiverPort], float]:
+        """A fresh tap per run: after each frame it adds the injected total and
+        the frame's decoded octets to its count; the next bias is 1e-3 times that."""
+        seen = 0
 
-    def emitter_bias(self) -> float:
-        return 1e-3 * self._tap.get("rx_octets", 0)
+        def bias(port: ReceiverPort) -> float:
+            nonlocal seen
+            seen += port.injected_total + len(port.decoded[-1])
+            return 1e-3 * seen
 
-    def on_frame_received(self, port: ReceiverPort) -> None:
-        seen = self._tap.get("rx_octets", 0)
-        self._tap["rx_octets"] = seen + port.injected_total + len(port.decoded[-1])
-
-    def reset_receive_taps(self) -> None:
-        self._tap.clear()
+        return bias

@@ -53,11 +53,6 @@ class EmanationClass(Enum):
     def label(self) -> str:
         return self.value
 
-    @property
-    def risk_rank(self) -> int:
-        """Higher means higher risk: III > II > I."""
-        return {"I": 0, "II": 1, "III": 2}[self.value]
-
 
 @dataclass(frozen=True)
 class LedModel:
@@ -331,15 +326,11 @@ def add_noise(trace: OpticalTrace, noise: NoiseModel) -> OpticalTrace:
 
 
 def _schedule_stream(schedule: tuple[tuple[float, int], ...], duration: float) -> LogicEventStream:
-    entries = list(schedule)
-    if entries[0][0] == 0.0:
-        initial = entries[0][1]
-        entries = entries[1:]
-    else:
-        initial = 0
+    # An entry at t=0 sets the initial level, so it adds no edge.
+    initial = schedule[0][1] if schedule[0][0] == 0.0 else 0
     edges: list[float] = []
     cur = initial
-    for t, level in entries:
+    for t, level in schedule:
         if level != cur:
             edges.append(t)
             cur = level

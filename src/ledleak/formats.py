@@ -11,8 +11,8 @@ whitespace-only lines are skipped, and lines may end in LF, CRLF or a bare
 CR. Any other line (two numbers, a comment, hex, a non-ASCII digit, bytes
 that are not UTF-8) is a :class:`ValueError` naming the file, the 1-based
 line number and the line. Non-finite samples then fail the value checks.
-A bad header is an error naming the file, and a header value that does not
-parse names its key and the value; the header is checked before the body.
+A bad header is an error naming the file; a header value outside the same
+grammar names its key and the value. The header is checked before the body.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-from collections.abc import Iterable
-from itertools import chain
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TextIO
 
@@ -40,15 +40,17 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_text(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write text chunks via a temp file in the same directory, then rename
-    into place, so readers see the old file or the whole new one. The file
-    gets the mode a plain ``open()`` would give it, ``0o666`` less the umask."""
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """A text handle on a temp file in the same directory, renamed into
+    place when the block ends, so readers see the old file or the whole new
+    one; an exception removes the temp file instead. The file gets the mode
+    a plain ``open()`` would give it, ``0o666`` less the umask."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            yield fh
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
@@ -79,12 +81,24 @@ def _header_fields(line: str, magic: str) -> dict[str, str]:
 _TRACE_BLOCK = 65536
 
 
+@contextmanager
+def trace_writer(path: str | Path, sample_rate: float,
+                 origin: float = 0.0) -> Iterator[Callable[[np.ndarray], None]]:
+    """A function that appends one sample array to the trace written to
+    ``path`` through :func:`atomic_open`; the file is whole once the block ends."""
+    with atomic_open(path) as fh:
+        fh.write(f"{TRACE_MAGIC} sample_rate_hz={sample_rate!r} origin_s={origin!r}\n")
+
+        def append(samples: np.ndarray) -> None:
+            for i in range(0, samples.size, _TRACE_BLOCK):
+                fh.write("\n".join(map(repr, samples[i:i + _TRACE_BLOCK].tolist())) + "\n")
+
+        yield append
+
+
 def write_trace(path: str | Path, trace: OpticalTrace) -> None:
-    header = f"{TRACE_MAGIC} sample_rate_hz={trace.sample_rate!r} origin_s={trace.origin_time!r}\n"
-    s = trace.samples
-    blocks = ("\n".join(map(repr, s[i:i + _TRACE_BLOCK].tolist())) + "\n"
-              for i in range(0, s.size, _TRACE_BLOCK))
-    atomic_write_text(path, chain((header,), blocks))
+    with trace_writer(path, trace.sample_rate, trace.origin_time) as append:
+        append(trace.samples)
 
 
 #: Characters read at a time while looking for the first sample.
@@ -93,15 +107,16 @@ _PROBE_CHARS = 65536
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
-def _bad_sample(line: str) -> bool:
-    """Whether a body line is neither blank nor one ASCII decimal float."""
-    text = line.strip()
+def _bad_sample(text: str, kind: type = float) -> bool:
+    """Whether ``text`` is neither blank nor one ASCII ``kind`` (``float`` or
+    ``int``) without underscores, both of which ``float`` and ``int`` take."""
+    text = text.strip()
     if not text:
         return False
     if not text.isascii() or "_" in text:
         return True
     try:
-        float(text)
+        kind(text)
     except ValueError:
         return True
     return False
@@ -127,11 +142,10 @@ def _read_header(fh: TextIO, path: str | Path, magic: str) -> dict[str, float | 
         raise ValueError(f"{path}: {exc}") from None
     values = {}
     for key, kind in _HEADER_KEYS[magic].items():
-        try:
-            values[key] = kind(fields[key])
-        except ValueError:
+        if not fields[key] or _bad_sample(fields[key], kind):
             raise ValueError(f"{path}: header {key}: expected {kind.__name__}, "
-                             f"got {fields[key]!r}") from None
+                             f"got {fields[key]!r}")
+        values[key] = kind(fields[key])
     return values
 
 
@@ -171,7 +185,9 @@ def read_trace(path: str | Path) -> OpticalTrace:
 
 def write_events(path: str | Path, events: LogicEventStream) -> None:
     header = f"{EVENTS_MAGIC} initial={events.initial_level} duration_s={events.duration!r}\n"
-    atomic_write_text(path, chain((header,), (f"{t!r}\n" for t in events.edges)))
+    with atomic_open(path) as fh:
+        fh.write(header)
+        fh.writelines(f"{t!r}\n" for t in events.edges)
 
 
 def read_events(path: str | Path) -> LogicEventStream:

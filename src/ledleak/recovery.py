@@ -205,8 +205,6 @@ def recover_data(trace: OpticalTrace, cfg: SerialConfig,
 
 
 def _pearson01(a: np.ndarray, b: np.ndarray) -> float:
-    a = a.astype(np.float64)
-    b = b.astype(np.float64)
     if a.std() == 0 or b.std() == 0:
         return 0.0
     r = float(np.corrcoef(a, b)[0, 1])
@@ -269,12 +267,8 @@ def bit_error_rate(sent: bytes, recovered: bytes) -> float:
     n = max(len(sent), len(recovered))
     if n == 0:
         return 0.0
-    errors = 0
-    for i in range(n):
-        if i < len(sent) and i < len(recovered):
-            errors += (sent[i] ^ recovered[i]).bit_count()
-        else:
-            errors += 8
+    missing = n - min(len(sent), len(recovered))
+    errors = sum((a ^ b).bit_count() for a, b in zip(sent, recovered)) + 8 * missing
     return errors / (8 * n)
 
 

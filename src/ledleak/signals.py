@@ -87,10 +87,6 @@ class SerialConfig:
         """Seconds from one start bit to the earliest next start bit."""
         return self.frame_bits * self.bit_time + self.idle_between_octets
 
-    def parity_bit(self, value: int) -> int:
-        ones = bin(value & ((1 << self.data_bits) - 1)).count("1")
-        return ones % 2 if self.parity == "even" else (ones % 2) ^ 1
-
 
 @dataclass(frozen=True)
 class LogicEventStream:

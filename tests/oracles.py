@@ -73,6 +73,12 @@ def uart_edges_from_cells(cells: list[int], bit_time: float) -> list[float]:
 # UART encode and decode loops (before the vectorised passes)
 # ---------------------------------------------------------------------------
 
+def parity_bit(cfg, value: int) -> int:
+    """The parity cell of ``value``'s data bits under ``cfg``'s parity."""
+    ones = bin(value & ((1 << cfg.data_bits) - 1)).count("1")
+    return ones % 2 if cfg.parity == "even" else (ones % 2) ^ 1
+
+
 def uart_encode_loop(data: bytes, cfg) -> tuple[int, tuple, float]:
     """One cell at a time; returns the stream as (initial_level, edges, duration)."""
     bit = cfg.bit_time
@@ -83,7 +89,7 @@ def uart_encode_loop(data: bytes, cfg) -> tuple[int, tuple, float]:
         cells = [0]
         cells.extend((value >> k) & 1 for k in range(cfg.data_bits))
         if cfg.parity != "none":
-            cells.append(cfg.parity_bit(value))
+            cells.append(parity_bit(cfg, value))
         cells.extend([1] * cfg.stop_bits)
         for k, cell in enumerate(cells):
             if cell != level:
@@ -123,7 +129,7 @@ def uart_decode_loop(events, cfg) -> tuple[bytes, int, int, float]:
         pos = 1.5 + cfg.data_bits
         parity_err = False
         if cfg.parity != "none":
-            parity_err = events.level_at(ts + pos * bit) != cfg.parity_bit(value)
+            parity_err = events.level_at(ts + pos * bit) != parity_bit(cfg, value)
             pos += 1
         stops_ok = all(
             events.level_at(ts + (pos + j) * bit) == 1 for j in range(cfg.stop_bits)

@@ -320,20 +320,48 @@ class TestDiodeCli:
 
     def test_baseline_runs_once(self, tmp_path, capsys):
         """The traced run is the baseline; each adversary adds one run."""
-        with mock.patch("ledleak.diode.diode_send", wraps=diode.diode_send) as send:
+        with mock.patch("ledleak.diode.link_frames", wraps=diode.link_frames) as runs:
             code, _, err = run(capsys, "diode", "--frames", "2", "--out", str(tmp_path / "d"))
         assert code == EXIT_OK, err
-        assert send.call_count == 1 + len(diode.standard_adversaries()) == 4
+        assert runs.call_count == 1 + len(diode.standard_adversaries()) == 4
+
+    def test_memory_does_not_grow_with_frames(self, tmp_path, capsys):
+        """Traces are written frame by frame, not held for the whole run."""
+        peaks = []
+        for frames in (10, 40):
+            tracemalloc.start()
+            try:
+                code, _, err = run(capsys, "diode", "--frames", str(frames),
+                                   "--out", str(tmp_path / str(frames)))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK, err
+            peaks.append(peak)
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_failure_mid_run_leaves_no_files(self, tmp_path, capsys):
+        decode = diode.uart_decode
+        calls = 0
+
+        def fail_third(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                raise ValueError("decoder failed")
+            return decode(*args, **kwargs)
+
+        out = tmp_path / "d"
+        with mock.patch("ledleak.diode.uart_decode", fail_third):
+            code, stdout, err = run(capsys, "diode", "--frames", "5", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert_one_error_line(err)
+        assert "decoder failed" in err
+        assert list(out.iterdir()) == []
 
 
 class TestExperimentConfig:
-    def test_file_round_trip(self, tmp_path):
-        cfg = ExperimentConfig(seed=42, emanation_class="II", baud="19200",
-                               sigma=0.25, stretch_us="0,10", frames=7)
-        path = tmp_path / "exp.cfg"
-        cfg.to_file(path)
-        assert ExperimentConfig.from_file(path) == cfg
-
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("bogus=1\n")
@@ -354,10 +382,8 @@ class TestExperimentConfig:
         assert repr(key) in err and repr(value) in err and str(path) in err
 
     def test_config_file_drives_synth(self, tmp_path, capsys):
-        cfg = ExperimentConfig(seed=3, emanation_class="III", data="FROMCFG",
-                               out=str(tmp_path / "o"))
         path = tmp_path / "exp.cfg"
-        cfg.to_file(path)
+        path.write_text(f"seed=3\nemanation_class=III\ndata=FROMCFG\nout={tmp_path / 'o'}\n")
         code, _, _ = run(capsys, "synth", "--config", str(path))
         assert code == EXIT_OK
         code, stdout, _ = run(capsys, "recover",
@@ -365,9 +391,8 @@ class TestExperimentConfig:
         assert bytes.fromhex(json.loads(stdout)["octets_hex"]) == b"FROMCFG"
 
     def test_flag_overrides_config(self, tmp_path, capsys):
-        cfg = ExperimentConfig(data="CFGDATA", out=str(tmp_path / "o"))
         path = tmp_path / "exp.cfg"
-        cfg.to_file(path)
+        path.write_text(f"data=CFGDATA\nout={tmp_path / 'o'}\n")
         run(capsys, "synth", "--config", str(path), "--data", "FLAGDATA")
         code, stdout, _ = run(capsys, "recover",
                               str(tmp_path / "o" / "trace.optrace"), "--baud", "9600")

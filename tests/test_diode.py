@@ -13,6 +13,8 @@ from ledleak.diode import (
     diode_send,
     flood_receive_buffers,
     interface_partition_audit,
+    link_frames,
+    link_report,
     photodiode_receive,
     poke_receive_interface,
     snoop_receive_state,
@@ -179,12 +181,13 @@ class TestDiodeSend:
 
     def test_collect_traces(self):
         frames = frames_fixture(2, seed=5)
-        report, _, emitted, received = diode_send(frames, CLEAN_LINK, NOISE,
-                                                  collect_traces=True)
-        assert emitted.n_samples > 0
-        assert received.n_samples == emitted.n_samples
-        # channel attenuates: received peak below emitted peak
-        assert received.samples.max() < emitted.samples.max()
+        runs = list(link_frames(frames, CLEAN_LINK, NOISE))
+        assert len(runs) == 2
+        for emitted, arrived, _ in runs:
+            assert emitted.n_samples > 0
+            assert arrived.n_samples == emitted.n_samples
+            # channel attenuates: arrived peak below emitted peak
+            assert arrived.samples.max() < emitted.samples.max()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -237,6 +240,22 @@ class TestUnidirectionality:
         a, _ = diode_send(frames, wired, NOISE, rx_program=flood_receive_buffers)
         b, _ = diode_send(frames, wired, NOISE, rx_program=flood_receive_buffers)
         assert a.emitter_trace_digest == b.emitter_trace_digest
+
+    def test_wired_back_runs_interleave_independently(self):
+        # each run owns its back channel, so interleaving two runs on one
+        # link gives the digests of the same runs made one after the other
+        frames = frames_fixture(4, seed=10)
+        wired = WiredBackLink(channel_attenuation=0.8)
+        plain, flooded = [], []
+        for a, b in zip(link_frames(frames, wired, NOISE),
+                        link_frames(frames, wired, NOISE, rx_program=flood_receive_buffers)):
+            plain.append(a)
+            flooded.append(b)
+        alone_plain, _ = diode_send(frames, wired, NOISE)
+        alone_flooded, _ = diode_send(frames, wired, NOISE, rx_program=flood_receive_buffers)
+        assert link_report(plain)[0] == alone_plain
+        assert link_report(flooded)[0] == alone_flooded
+        assert alone_plain.emitter_trace_digest != alone_flooded.emitter_trace_digest
 
     def test_interface_partition_audit(self):
         assert interface_partition_audit()

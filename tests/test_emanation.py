@@ -526,7 +526,6 @@ class TestSynthesizeClass:
         assert EmanationClass.from_label("III") is EmanationClass.CONTENT
         with pytest.raises(ConfigError):
             EmanationClass.from_label("IV")
-        assert EmanationClass.CONTENT.risk_rank > EmanationClass.ACTIVITY.risk_rank
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"pulse_stretch": math.inf}, "pulse_stretch"),

@@ -12,11 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ledleak.formats import (
-    atomic_write_text,
+    atomic_open,
     hexline_to_octets,
     octets_to_hexline,
     read_events,
     read_trace,
+    trace_writer,
     write_events,
     write_trace,
 )
@@ -133,6 +134,10 @@ class TestHeaderErrors:
          "header initial: expected int, got '1.5'"),
         (read_events, "# optevents v1 initial=0 duration_s=",
          "header duration_s: expected float, got ''"),
+        (read_trace, "# optrace v1 sample_rate_hz=1_000 origin_s=0.0",
+         "header sample_rate_hz: expected float, got '1_000'"),
+        (read_events, "# optevents v1 initial=\u0661 duration_s=1.0",  # Arabic-Indic one
+         "header initial: expected int, got '\u0661'"),
         (read_trace, "# optrace v2 sample_rate_hz=1000.0 origin_s=0.0",
          "not a '# optrace v1' file"),
         (read_events, "# optrace v1 sample_rate_hz=1000.0 origin_s=0.0",
@@ -381,19 +386,43 @@ class TestHexFormats:
         assert hexline_to_octets(" 0A\tff\n10 ") == b"\x0a\xff\x10"
 
 
+def write_text(path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
 class TestAtomicWrite:
     def test_overwrites_existing(self, tmp_path):
         p = tmp_path / "f.txt"
-        atomic_write_text(p, "one")
-        atomic_write_text(p, "two")
+        write_text(p, "one")
+        write_text(p, "two")
         assert p.read_text() == "two"
+
+    def test_exception_keeps_old_file_and_removes_temp(self, tmp_path):
+        p = tmp_path / "f.txt"
+        write_text(p, "one")
+        with pytest.raises(RuntimeError):
+            with atomic_open(p) as fh:
+                fh.write("two")
+                raise RuntimeError("interrupted")
+        assert [q.name for q in tmp_path.iterdir()] == ["f.txt"]
+        assert p.read_text() == "one"
+
+    def test_trace_writer_matches_write_trace(self, tmp_path):
+        rng = np.random.default_rng(2)
+        parts = [rng.normal(0.5, 0.1, n) for n in (3, 0, 70000, 1)]
+        with trace_writer(tmp_path / "a.optrace", 1e6, 0.25) as append:
+            for part in parts:
+                append(part)
+        write_trace(tmp_path / "b.optrace", OpticalTrace(1e6, np.concatenate(parts), 0.25))
+        assert (tmp_path / "a.optrace").read_bytes() == (tmp_path / "b.optrace").read_bytes()
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
     def test_mode_follows_umask(self, tmp_path, umask, mode):
         previous = os.umask(umask)
         try:
             write_trace(tmp_path / "t.optrace", OpticalTrace(100.0, np.array([0.5])))
-            atomic_write_text(tmp_path / "f.txt", "one")
+            write_text(tmp_path / "f.txt", "one")
         finally:
             os.umask(previous)
         assert stat.S_IMODE((tmp_path / "t.optrace").stat().st_mode) == mode

@@ -33,14 +33,6 @@ class TestSerialConfig:
         with pytest.raises(ConfigError):
             SerialConfig(**kwargs)
 
-    def test_parity_bit(self):
-        cfg = SerialConfig(parity="even")
-        assert cfg.parity_bit(0x00) == 0
-        assert cfg.parity_bit(0x01) == 1
-        odd = SerialConfig(parity="odd")
-        assert odd.parity_bit(0x00) == 1
-        assert odd.parity_bit(0x03) == 1
-
 
 class TestLogicEventStream:
     def test_level_at_flips_on_edges(self):
