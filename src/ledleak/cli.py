@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import diode, emanation, formats, mac, recovery
 from .errors import ConfigError, EstimationError, NoSignalError
-from .signals import NoiseModel, SerialConfig
+from .signals import NoiseModel, OpticalTrace, SerialConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -101,25 +102,41 @@ def _hex_octets(text: str) -> bytes:
         raise ConfigError(f"expected hex octets, got {text!r}") from None
 
 
+def _frames(count: int) -> None:
+    if count < 0:
+        raise ConfigError("frames must be >= 0")
+
+
+#: Per key, a check of its cast value: most build the model the key
+#: configures, so each range is written once, in that model.
+_CHECKS = {
+    "seed": lambda v: NoiseModel(seed=v),
+    "sigma": lambda v: NoiseModel(gaussian_sigma=v),
+    "offset": lambda v: NoiseModel(ambient_offset=v),
+    "baud": lambda v: None if v == "auto" else SerialConfig(baud=_baud(v)),
+    "gap_ms": lambda v: SerialConfig(idle_between_octets=v / 1000.0),
+    "window_ms": lambda v: emanation.DriveConfig(activity_window=v / 1000.0),
+    "stretch_us": lambda v: [emanation.DriveConfig(pulse_stretch=s) for s in _stretch_seconds(v)],
+    "sample_rate": lambda v: OpticalTrace(v, ()),
+    "attenuation": lambda v: diode.DiodeLink(channel_attenuation=v),
+    "frames": _frames,
+    "emanation_class": emanation.EmanationClass.from_label,
+    "data_hex": _hex_octets,
+}
+
+
 def _cast(key: str, text: str, where: str) -> int | float | str:
-    """``text`` as the value of config key ``key``, by the key's field type;
-    a baud, a class label, a stretch list and hex octets must also parse.
-    Errors start with ``where``."""
+    """``text`` as the value of config key ``key``, by the key's field type,
+    then checked by :data:`_CHECKS`. Errors start with ``where``."""
     kind = _FIELD_TYPES[key]
     try:
         value = {"int": int, "float": float, "str": str}[kind](text)
-        if key == "baud" and text != "auto":
-            _baud(text)
-        elif key == "emanation_class":
-            emanation.EmanationClass.from_label(text)
-        elif key == "stretch_us":
-            _stretch_seconds(text)
-        elif key == "data_hex":
-            _hex_octets(text)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
     except ValueError:
         raise ConfigError(f"{where}: expected {kind}, got {text!r}") from None
+    try:
+        _CHECKS.get(key, lambda v: None)(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     return value
 
 
@@ -194,14 +211,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def run_stretch_sweep(data: bytes, serial: SerialConfig, stretch_seconds: list[float],
-                      sample_rate: float, noise: NoiseModel,
-                      window: float = emanation.DEFAULT_ACTIVITY_WINDOW) -> list[dict]:
+                      sample_rate: float, noise: NoiseModel) -> list[dict]:
     """One row per stretch value: recovered BER and leaked mutual information."""
     line = emanation.uart_encode(data, serial)
     rows = []
     for min_on in sorted(stretch_seconds):
-        drive = emanation.DriveConfig(serial=serial, pulse_stretch=min_on,
-                                      activity_window=window)
+        drive = emanation.DriveConfig(serial=serial, pulse_stretch=min_on)
         profile = emanation.DeviceProfile(emanation.EmanationClass.CONTENT,
                                           emanation.LedModel(), drive)
         trace = emanation.synthesize_class(profile, data, noise, sample_rate)
@@ -306,8 +321,6 @@ def _deterministic_frames(count: int, seed: int) -> list[mac.EthernetFrame]:
 
 def cmd_diode(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    if cfg.frames < 0:
-        raise ConfigError("frames must be >= 0")
     serial = SerialConfig(baud=_baud(cfg.baud))
     link_type = diode.WiredBackLink if args.wired_back else diode.DiodeLink
     link = link_type(
@@ -421,16 +434,24 @@ def _error(exc: Exception) -> None:
     print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
 
 
+def _warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` for the CLI: one ``warning:`` line, without
+    the source path and line that Python's default format carries."""
+    print(f"warning: {str(message).translate(_LINE_BREAKS)}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (NoSignalError, EstimationError) as exc:
-        _error(exc)
-        return EXIT_NO_SIGNAL
-    except (ConfigError, ValueError, OSError) as exc:
-        _error(exc)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except (NoSignalError, EstimationError) as exc:
+            _error(exc)
+            return EXIT_NO_SIGNAL
+        except (ConfigError, ValueError, OSError) as exc:
+            _error(exc)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -163,15 +163,14 @@ _EXP_UNDERFLOW = 746.0
 _HEAD_BATCH = 8192
 
 
-def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float,
-                  active_high: bool = True) -> OpticalTrace:
+def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float) -> OpticalTrace:
     """Drive an LED from a logic stream and sample its brightness.
 
     Each logic level pulls the output exponentially toward ``on_level`` or
-    ``off_level`` with the corresponding time constant. ``active_high``
-    selects whether logic 1 lights the LED. Sampling below four samples per
-    shortest input pulse loses pulses; that only warns. ``sample_rate``
-    must be positive and finite (``ValueError`` otherwise).
+    ``off_level`` with the corresponding time constant. Logic 1 lights the
+    LED; pass ``line.invert()`` for an active-low one. Sampling below four
+    samples per shortest input pulse loses pulses; that only warns.
+    ``sample_rate`` must be positive and finite (``ValueError`` otherwise).
 
     One pass over the segments between edges: a scalar recurrence gives
     each segment's start value, every sample is filled with its segment's
@@ -196,8 +195,7 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float,
     bounds = np.concatenate(([0.0], line.edge_array, [line.duration]))
     starts_at = bounds[:-1]
     seconds = np.diff(bounds)
-    first_lit = line.initial_level if active_high else 1 - line.initial_level
-    lit = (np.arange(seconds.size) + first_lit) % 2 == 1
+    lit = (np.arange(seconds.size) + line.initial_level) % 2 == 1
     target = np.where(lit, led.on_level, led.off_level)
     rise_decay = np.exp(-seconds / led.rise_time).tolist()
     fall_decay = np.exp(-seconds / led.fall_time).tolist()
@@ -208,7 +206,7 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float,
     # level forever before t=0, so it starts at steady state.
     start: list[float] = []
     rising: list[bool] = []
-    value = led.on_level if first_lit else led.off_level
+    value = led.on_level if line.initial_level else led.off_level
     for tgt, up, down in zip(target.tolist(), rise_decay, fall_decay):
         start.append(value)
         rising.append(tgt > value)

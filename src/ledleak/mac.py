@@ -4,10 +4,10 @@ Frames are marshalled to 4-bit MII nibbles (low nibble of each octet
 first, 25 MHz clock). :func:`validate_frame` de-marshals a whole stream in
 a single pass: it hunts the SFD, packs the octets and checks the frame
 check sequence with zlib's CRC-32. :class:`PipelineState` is the clocked
-model of the same reception, landing one nibble per clock in one pipeline
-slot; it serves per-clock field timing. Header fields become readable the
-instant their last nibble arrives, which gives cut-through access to the
-destination address long before the frame ends; the FCS verdict is only
+model of the same reception, one nibble per clock; it serves per-clock
+field timing. Header fields become readable the instant their last
+nibble arrives, which gives cut-through access to the destination
+address long before the frame ends; the FCS verdict is only
 available at end of stream. A transmission can be aborted mid-stream by
 completing it with a deliberately corrupted FCS, which any compliant
 receiver will discard.
@@ -35,10 +35,6 @@ HEADER_LEN = 14
 FCS_LEN = 4
 PREAMBLE_OCTETS = b"\x55" * 7
 SFD_OCTET = 0xD5
-MII_CLOCK_PERIOD = 40e-9  # 25 MHz
-
-#: Fixed pipeline window; a maximum-size frame needs 3052 slots.
-SLOT_WINDOW = 4096
 
 #: Any character but an ASCII hex digit. ``int(s, 16)`` alone would also
 #: take a sign, ``0x``, ``_``, surrounding spaces and any Unicode digit.
@@ -106,7 +102,6 @@ class EthernetFrame:
     payload: bytes
     pad: bytes
     fcs: bytes
-    fcs_corrupted: bool = False
 
     def __post_init__(self) -> None:
         if len(self.dst) != 6 or len(self.src) != 6:
@@ -121,7 +116,7 @@ class EthernetFrame:
         if not MIN_FRAME <= total <= MAX_FRAME:
             raise FrameError(f"frame length {total} outside [{MIN_FRAME}, {MAX_FRAME}]")
         good = crc32_fcs(self.dst + self.src + self.ethertype + self.payload + self.pad)
-        if not self.fcs_corrupted and self.fcs != good:
+        if self.fcs != good:
             raise FrameError("fcs does not match frame contents")
 
     @property
@@ -151,14 +146,11 @@ class MiiNibbleStream:
     """Sequence of 4-bit MII values, one per clock."""
 
     nibbles: bytes
-    clock_period: float = MII_CLOCK_PERIOD
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nibbles", bytes(self.nibbles))
         if self.nibbles and max(self.nibbles) > 15:
             raise ValueError("nibble values must be in [0, 15]")
-        if not self.clock_period > 0:
-            raise ValueError("clock_period must be positive")
 
     def __len__(self) -> int:
         return len(self.nibbles)
@@ -168,7 +160,7 @@ class MiiNibbleStream:
         return self.nibbles.translate(_NIBBLE_TO_HEX).decode("ascii")
 
     @classmethod
-    def from_string(cls, text: str, clock_period: float = MII_CLOCK_PERIOD) -> "MiiNibbleStream":
+    def from_string(cls, text: str) -> "MiiNibbleStream":
         """Inverse of :meth:`to_string`; surrounding whitespace is ignored and
         any other character but an ASCII hex digit is a ``ValueError``."""
         text = text.strip()
@@ -176,7 +168,7 @@ class MiiNibbleStream:
         if bad:
             raise ValueError(f"non-hex digit {bad.group()!r} at position {bad.start()} "
                              "of nibble string")
-        return cls(text.encode("ascii").translate(_HEX_TO_NIBBLE), clock_period)
+        return cls(text.encode("ascii").translate(_HEX_TO_NIBBLE))
 
 
 def octets_to_nibbles(octets: bytes) -> bytes:
@@ -199,39 +191,39 @@ def mii_marshal(frame: EthernetFrame) -> MiiNibbleStream:
     return stream_from_wire_octets(frame.serialize())
 
 
-_HUNT, _HEADER, _DATA, _DONE = range(4)
+#: Octets received after the SFD when each header field completes, and
+#: the octet it starts at.
+_HEADER_FIELDS = {6: ("dst", 0), 12: ("src", 6), HEADER_LEN: ("ethertype", 12)}
 
 
 class PipelineState:
     """De-marshalling pipeline for one frame reception.
 
-    Each :meth:`step` consumes exactly one nibble, writes one slot record
-    ``(field, nibble, recognised)`` and advances the cursor by one. Fields
-    appear in ``fields_valid`` at the earliest clock at which their last
-    nibble has arrived; payload, length, and the FCS verdict can only be
-    known once the stream ends, signalled by :meth:`finish`.
+    Each :meth:`step` consumes exactly one nibble and advances the cursor
+    by one. Before the SFD a nibble only matters as far as it is 0x5: an
+    0xD straight after an 0x5 is the SFD. After it, nibbles pack into
+    octets, low nibble first. Fields appear in ``fields_valid`` at the
+    earliest clock at which their last nibble has arrived; payload,
+    length, and the FCS verdict can only be known once the stream ends,
+    signalled by :meth:`finish`.
 
     Stepping mutates the state in place and returns it; a state must not be
     stepped concurrently from multiple threads.
     """
 
     __slots__ = (
-        "slots", "cursor", "phase", "fields_valid", "sfd_found",
-        "_prev_preamble", "_have_lo", "_lo", "_header", "_data",
+        "cursor", "fields_valid", "sfd_found", "_finished", "_after_5", "_octets", "_lo",
         "dst", "src", "ethertype", "frame_length", "payload", "fcs", "fcs_ok",
     )
 
     def __init__(self) -> None:
-        self.slots: list[tuple[str, int, bool] | None] = [None] * SLOT_WINDOW
         self.cursor = 0
-        self.phase = _HUNT
         self.fields_valid: dict[str, int] = {}
         self.sfd_found = False
-        self._prev_preamble = False
-        self._have_lo = False
-        self._lo = 0
-        self._header = bytearray()
-        self._data = bytearray()
+        self._finished = False
+        self._after_5 = False
+        self._octets = bytearray()
+        self._lo: int | None = None  # low nibble of the octet under way
         self.dst: bytes | None = None
         self.src: bytes | None = None
         self.ethertype: bytes | None = None
@@ -243,55 +235,26 @@ class PipelineState:
     def step(self, nibble: int) -> "PipelineState":
         if not 0 <= nibble <= 15:
             raise ValueError(f"nibble value {nibble} out of range [0, 15]")
-        phase = self.phase
-        if phase == _DONE:
+        if self._finished:
             raise RuntimeError("pipeline already finished")
-        cur = self.cursor + 1
-        self.cursor = cur
-        if phase == _DATA:
-            if self._have_lo:
-                self._data.append(self._lo | (nibble << 4))
-                self._have_lo = False
-            else:
-                self._lo = nibble
-                self._have_lo = True
-            tag, ok = "data", True
-        elif phase == _HEADER:
-            if self._have_lo:
-                self._header.append(self._lo | (nibble << 4))
-                self._have_lo = False
-                n = len(self._header)
-                if n == 6:
-                    self.dst = bytes(self._header[:6])
-                    self.fields_valid["dst"] = cur
-                elif n == 12:
-                    self.src = bytes(self._header[6:12])
-                    self.fields_valid["src"] = cur
-                elif n == 14:
-                    self.ethertype = bytes(self._header[12:14])
-                    self.fields_valid["ethertype"] = cur
-                    self.phase = _DATA
-            else:
-                self._lo = nibble
-                self._have_lo = True
-            n = len(self._header) + self._have_lo
-            tag = "dst" if n <= 6 else ("src" if n <= 12 else "ethertype")
-            ok = True
-        else:  # _HUNT
-            if nibble == 0x5:
-                self._prev_preamble = True
-                tag, ok = "preamble", True
-            elif nibble == 0xD and self._prev_preamble:
+        self.cursor += 1
+        if not self.sfd_found:
+            # Preamble violations only drop the hunt back a step, never abort it.
+            if nibble == 0xD and self._after_5:
                 self.sfd_found = True
-                self.fields_valid["sfd"] = cur
-                self.phase = _HEADER
-                self._have_lo = False
-                tag, ok = "sfd", True
-            else:
-                # Preamble violation: drop back to hunting, not fatal.
-                self._prev_preamble = False
-                tag, ok = "noise", False
-        self.slots[(cur - 1) % SLOT_WINDOW] = (tag, nibble, ok)
+                self.fields_valid["sfd"] = self.cursor
+            self._after_5 = nibble == 0x5
+        elif self._lo is None:
+            self._lo = nibble
+        else:
+            octets = self._octets
+            octets.append(self._lo | (nibble << 4))
+            self._lo = None
+            field = _HEADER_FIELDS.get(len(octets))
+            if field:
+                name, start = field
+                setattr(self, name, bytes(octets[start:]))
+                self.fields_valid[name] = self.cursor
         return self
 
     def feed(self, nibbles: bytes) -> "PipelineState":
@@ -307,24 +270,22 @@ class PipelineState:
         Length, payload and the FCS verdict become valid here: a dangling
         half octet never completed and is dropped.
         """
-        if self.phase == _DONE:
+        if self._finished:
             return self
         cur = self.cursor
         if self.sfd_found:
-            data = bytes(self._data)
-            self.frame_length = len(self._header) + len(data)
+            octets = bytes(self._octets)
+            self.frame_length = len(octets)
             self.fields_valid["length"] = cur
-            if len(data) >= FCS_LEN and len(self._header) == HEADER_LEN:
-                self.payload = data[:-FCS_LEN]
-                self.fcs = data[-FCS_LEN:]
-                self.fcs_ok = crc32_fcs(
-                    self.dst + self.src + self.ethertype + self.payload
-                ) == self.fcs
+            if len(octets) >= HEADER_LEN + FCS_LEN:
+                self.payload = octets[HEADER_LEN:-FCS_LEN]
+                self.fcs = octets[-FCS_LEN:]
+                self.fcs_ok = crc32_fcs(octets[:-FCS_LEN]) == self.fcs
                 self.fields_valid["payload"] = cur
             else:
                 self.fcs_ok = False
             self.fields_valid["fcs_ok"] = cur
-        self.phase = _DONE
+        self._finished = True
         return self
 
     def field_values(self) -> dict:
@@ -416,7 +377,7 @@ def abort_transmission(stream: MiiNibbleStream, abort_at: int) -> MiiNibbleStrea
         raise ValueError("stream carries no SFD; nothing to abort")
     good = crc32_fcs(_nibbles_to_octets(nibbles[sfd + 1:n - 8]))
     bad = octets_to_nibbles(bytes(b ^ 0xFF for b in good))
-    return MiiNibbleStream(nibbles[:n - 8] + bad, stream.clock_period)
+    return MiiNibbleStream(nibbles[:n - 8] + bad)
 
 
 @dataclass(frozen=True)

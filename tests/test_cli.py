@@ -153,6 +153,15 @@ class TestSweep:
         assert float(first[0]) == 0.0
         assert float(first[1]) == 0.0  # clean channel, no stretch
 
+    def test_warning_is_one_line(self, tmp_path, capsys):
+        code, stdout, err = run(capsys, "sweep-stretch", "--data", "SWEEPDATASWEEPDATA",
+                                "--stretch-us", "0,208.333", "--sample-rate", "153600",
+                                "--out", str(tmp_path / "s"))
+        assert code == EXIT_OK
+        assert stdout == f"{tmp_path / 's' / 'sweep_stretch.csv'}\n"
+        assert err == ("warning: sample_rate 153600 Hz is below 4x the shortest pulse "
+                       "(3.33333e-10 s); short pulses may be missed\n")
+
     def test_empty_list_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep-stretch", "--data", "x",
                            "--stretch-us", "")
@@ -300,7 +309,7 @@ class TestDiodeCli:
         code, stdout, err = run(capsys, "diode", "--frames", "-1", "--out", str(out))
         assert code == EXIT_CONFIG
         assert stdout == ""
-        assert err == "error: frames must be >= 0\n"
+        assert err == "error: argument --frames: frames must be >= 0\n"
         assert not out.exists()
 
     def test_zero_frames_runs(self, tmp_path, capsys):
@@ -748,6 +757,15 @@ _BAD_VALUES = [
     ("synth", "--data-hex", "zz"),
 ]
 _TRACE_ARG = {"recover", "classify"}
+#: ``(command, key, value, message)``: values out of the range of the model
+#: the key configures; ``recover`` does not use ``seed`` but checks it too.
+_RANGE_ERRORS = [
+    ("synth", "sample_rate", "0", "sample_rate must be positive and finite, got 0.0"),
+    ("synth", "gap_ms", "-1", "idle_between_octets must be >= 0 and finite, got -0.001"),
+    ("diode", "attenuation", "2", "channel_attenuation must be in [0, 1]"),
+    ("recover", "seed", "-1", "seed must fit in 64 bits"),
+    ("synth", "sigma", "nan", "gaussian_sigma must be >= 0 and finite, got nan"),
+]
 
 
 class TestOneCast:
@@ -778,6 +796,23 @@ class TestOneCast:
         assert stdout == ""
         assert_one_error_line(err)
         assert f"config key {key!r} in {path}: " in err and repr(value) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, key, value, message", _RANGE_ERRORS)
+    def test_range_error_names_flag(self, tmp_path, capsys, command, key, value, message):
+        flag = "--" + key.replace("_", "-")
+        code, stdout, err = run(capsys, *self.argv(tmp_path, command), flag, value)
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err == f"error: argument {flag}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, key, value, message", _RANGE_ERRORS)
+    def test_range_error_names_file(self, tmp_path, capsys, command, key, value, message):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{key}={value}\n")
+        code, stdout, err = run(capsys, *self.argv(tmp_path, command), "--config", str(path))
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err == f"error: config key {key!r} in {path}: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_class_takes_the_config_file_spellings(self, tmp_path, capsys):

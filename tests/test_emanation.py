@@ -141,8 +141,8 @@ class TestLedTransduce:
 
     def test_active_low_inverts_light(self):
         line = LogicEventStream(1, (), 1e-4)
-        lit = led_transduce(line, LedModel(), 1e6, active_high=True)
-        dark = led_transduce(line, LedModel(), 1e6, active_high=False)
+        lit = led_transduce(line, LedModel(), 1e6)
+        dark = led_transduce(line.invert(), LedModel(), 1e6)
         assert lit.samples[-1] == pytest.approx(1.0)
         assert dark.samples[-1] == pytest.approx(0.0)
 
@@ -195,8 +195,8 @@ def transduce_cases(draw):
     return line, LedModel(rise, fall, on, off), sample_rate, draw(st.booleans())
 
 
-def _loop_transduce(line, led, sample_rate, active_high=True):
-    return OpticalTrace(sample_rate, led_transduce_loop(line, led, sample_rate, active_high))
+def _loop_transduce(line, led, sample_rate):
+    return OpticalTrace(sample_rate, led_transduce_loop(line, led, sample_rate))
 
 
 class TestLedTransduceMatchesLoop:
@@ -207,7 +207,7 @@ class TestLedTransduceMatchesLoop:
     @settings(max_examples=300, deadline=None)
     def test_property(self, case):
         line, led, sample_rate, active_high = case
-        fast = led_transduce(line, led, sample_rate, active_high).samples
+        fast = led_transduce(line if active_high else line.invert(), led, sample_rate).samples
         assert fast.tobytes() == led_transduce_loop(line, led, sample_rate, active_high).tobytes()
 
     def test_criterion_7_emitter_digest(self, monkeypatch):
