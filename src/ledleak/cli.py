@@ -212,14 +212,25 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def run_stretch_sweep(data: bytes, serial: SerialConfig, stretch_seconds: list[float],
                       sample_rate: float, noise: NoiseModel) -> list[dict]:
-    """One row per stretch value: recovered BER and leaked mutual information."""
+    """One row per stretch value: recovered BER and leaked mutual information.
+
+    Rows get the traces of ``emanation.synthesize_class``, but share one
+    noise draw, sized for the longest once all pass the sample cap: a seeded
+    draw's first values are the same whatever its size.
+    """
     line = emanation.uart_encode(data, serial)
-    rows = []
-    for min_on in sorted(stretch_seconds):
+    led = emanation.LedModel()
+    stretches = sorted(stretch_seconds)
+    lits = []
+    for min_on in stretches:
         drive = emanation.DriveConfig(serial=serial, pulse_stretch=min_on)
-        profile = emanation.DeviceProfile(emanation.EmanationClass.CONTENT,
-                                          emanation.LedModel(), drive)
-        trace = emanation.synthesize_class(profile, data, noise, sample_rate)
+        profile = emanation.DeviceProfile(emanation.EmanationClass.CONTENT, led, drive)
+        lits.append(emanation.drive_stream(profile, data))
+    longest = max((emanation._sample_count(lit.duration, sample_rate) for lit in lits), default=0)
+    draw = emanation._gaussian_draw(noise, longest)
+    rows = []
+    for min_on, lit in zip(stretches, lits):
+        trace = emanation._add_draw(emanation.led_transduce(lit, led, sample_rate), noise, draw)
         try:
             recovered = recovery.recover_data(trace, serial).octets
         except NoSignalError:
@@ -449,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         except (NoSignalError, EstimationError) as exc:
             _error(exc)
             return EXIT_NO_SIGNAL
-        except (ConfigError, ValueError, OSError) as exc:
+        except (ConfigError, ValueError, OSError, Warning) as exc:
             _error(exc)
             return EXIT_CONFIG
 

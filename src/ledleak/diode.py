@@ -132,7 +132,8 @@ class DiodeLink:
 
     def __post_init__(self) -> None:
         if not 0 <= self.channel_attenuation <= 1:
-            raise ValueError("channel_attenuation must be in [0, 1]")
+            raise ValueError(
+                f"channel_attenuation must be in [0, 1], got {self.channel_attenuation}")
         if not 0 < self.sample_rate < float("inf"):
             raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
 
@@ -211,7 +212,7 @@ def _emit_frame(octets: bytes, serial_cfg: SerialConfig, tx_led: LedModel,
     line = uart_encode(octets, serial_cfg)
     trace = led_transduce(line, tx_led, sample_rate)
     if bias != 0.0:
-        trace = OpticalTrace(trace.sample_rate, trace.samples * (1.0 + bias))
+        trace = OpticalTrace._adopt(trace.sample_rate, trace.samples * (1.0 + bias))
     return trace
 
 
@@ -244,7 +245,7 @@ def link_frames(frames: Iterable[EthernetFrame], link: DiodeLink, noise: NoiseMo
         wire = preamble + frame.serialize()
         emitted = _emit_frame(wire, link.serial_cfg, link.tx_led, link.sample_rate, bias=bias)
 
-        channel = OpticalTrace(link.sample_rate, emitted.samples * link.channel_attenuation)
+        channel = OpticalTrace._adopt(link.sample_rate, emitted.samples * link.channel_attenuation)
         frame_noise = NoiseModel(noise.gaussian_sigma, noise.ambient_offset,
                                  (noise.seed + index) & _MASK64)
         arrived = add_noise(channel, frame_noise)

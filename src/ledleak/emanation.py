@@ -30,7 +30,7 @@ from .signals import LogicEventStream, NoiseModel, OpticalTrace, SerialConfig
 DEFAULT_ACTIVITY_WINDOW = 0.010
 
 #: Most samples one trace may hold: 2**27 float64 samples are 1 GiB.
-#: ``led_transduce`` refuses a longer trace before allocating anything.
+#: ``led_transduce`` and the sweep refuse a longer trace before allocating.
 MAX_SAMPLES = 2**27
 
 
@@ -163,6 +163,16 @@ _EXP_UNDERFLOW = 746.0
 _HEAD_BATCH = 8192
 
 
+def _sample_count(duration: float, sample_rate: float) -> int:
+    """Samples in a trace ``duration`` s long; the rate and cap checks of :func:`led_transduce`."""
+    if not 0 < sample_rate < float("inf"):
+        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
+    if not duration * sample_rate <= MAX_SAMPLES:
+        raise ValueError(f"duration {duration!r} s x sample_rate {sample_rate!r} Hz "
+                         f"exceeds the cap of {MAX_SAMPLES} samples per trace")
+    return int(round(duration * sample_rate))
+
+
 def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float) -> OpticalTrace:
     """Drive an LED from a logic stream and sample its brightness.
 
@@ -179,11 +189,7 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float) -> 
     ``exp`` underflows to exactly 0.0, so the sample is exactly ``target``
     and the output is bit for bit that of evaluating every sample.
     """
-    if not 0 < sample_rate < float("inf"):
-        raise ValueError(f"sample_rate must be positive and finite, got {sample_rate}")
-    if not line.duration * sample_rate <= MAX_SAMPLES:
-        raise ValueError(f"duration {line.duration!r} s x sample_rate {sample_rate!r} Hz "
-                         f"exceeds the cap of {MAX_SAMPLES} samples per trace")
+    n = _sample_count(line.duration, sample_rate)
     shortest = line.shortest_pulse()
     if np.isfinite(shortest) and sample_rate < 4.0 / shortest:
         warnings.warn(
@@ -191,7 +197,6 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float) -> 
             f"({shortest:g} s); short pulses may be missed",
             stacklevel=2,
         )
-    n = int(round(line.duration * sample_rate))
     bounds = np.concatenate(([0.0], line.edge_array, [line.duration]))
     starts_at = bounds[:-1]
     seconds = np.diff(bounds)
@@ -241,7 +246,7 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float) -> 
         x *= start_minus_target[owner]
         x += target[owner]
         out[idx] = x
-    return OpticalTrace(sample_rate, out)
+    return OpticalTrace._adopt(sample_rate, out)
 
 
 #: Absorbs the float residue of interval arithmetic (seconds).
@@ -314,13 +319,24 @@ def activity_envelope(line: LogicEventStream, window: float) -> LogicEventStream
 
 def add_noise(trace: OpticalTrace, noise: NoiseModel) -> OpticalTrace:
     """Add the ambient offset and seeded Gaussian noise to a trace."""
+    return _add_draw(trace, noise, _gaussian_draw(noise, trace.n_samples))
+
+
+def _gaussian_draw(noise: NoiseModel, n: int) -> np.ndarray | None:
+    """The noise's first ``n`` Gaussian values (the same at any larger ``n``), or None."""
+    if noise.gaussian_sigma > 0:
+        return np.random.default_rng(noise.seed).normal(0.0, noise.gaussian_sigma, size=n)
+    return None
+
+
+def _add_draw(trace: OpticalTrace, noise: NoiseModel, draw: np.ndarray | None) -> OpticalTrace:
+    """:func:`add_noise` with the head of ``draw``, a longer :func:`_gaussian_draw`."""
     if noise.gaussian_sigma == 0 and noise.ambient_offset == 0:
         return trace
     out = trace.samples + noise.ambient_offset
-    if noise.gaussian_sigma > 0:
-        rng = np.random.default_rng(noise.seed)
-        out += rng.normal(0.0, noise.gaussian_sigma, size=out.size)
-    return OpticalTrace(trace.sample_rate, out, trace.origin_time)
+    if draw is not None:
+        out += draw[:out.size]
+    return OpticalTrace._adopt(trace.sample_rate, out, trace.origin_time)
 
 
 def _schedule_stream(schedule: tuple[tuple[float, int], ...], duration: float) -> LogicEventStream:

@@ -180,7 +180,7 @@ def _read_samples(path: str | Path, magic: str) -> tuple[dict[str, float | int],
 
 def read_trace(path: str | Path) -> OpticalTrace:
     header, samples = _read_samples(path, TRACE_MAGIC)
-    return OpticalTrace(header["sample_rate_hz"], samples, header["origin_s"])
+    return OpticalTrace._adopt(header["sample_rate_hz"], samples, header["origin_s"])
 
 
 def write_events(path: str | Path, events: LogicEventStream) -> None:

@@ -204,6 +204,34 @@ def recover_data(trace: OpticalTrace, cfg: SerialConfig,
     return decode_auto_polarity(events, cfg)
 
 
+def _grid_index(origin: float, rate: float, n: int, values) -> np.ndarray:
+    """``np.searchsorted(origin + np.arange(n) / rate, values)`` for a 1-D
+    ``values``, without building the grid: the instants at and before
+    ``ceil((v - origin) * rate)`` settle most values, bisection the rest."""
+    v = np.asarray(values, dtype=np.float64)
+    i = np.clip(np.ceil((v - origin) * rate), 0, n).astype(np.int64)
+    # The answer, the first index in [0, n] at or after v (n always is), is in [lo, hi].
+    lo = np.where((i > 0) & (origin + (i - 1) / rate >= v), 0, i)
+    hi = np.where((i < n) & (origin + i / rate < v), n, i)
+    todo = np.flatnonzero(lo < hi)
+    while todo.size:
+        mid = (lo[todo] + hi[todo]) // 2
+        after = origin + mid / rate >= v[todo]
+        hi[todo] = np.where(after, mid, hi[todo])
+        lo[todo] = np.where(after, lo[todo], mid + 1)
+        todo = todo[lo[todo] < hi[todo]]
+    return lo
+
+
+def _grid_levels(line: LogicEventStream, origin: float, rate: float,
+                 lo: int, hi: int) -> np.ndarray:
+    """``line.levels_at`` instants ``lo`` to ``hi - 1`` of the grid
+    ``origin + i / rate``: each run of instants between edges takes one level."""
+    j = np.clip(_grid_index(origin, rate, hi, line.edge_array), lo, hi) - lo
+    levels = (line.initial_level ^ (np.arange(j.size + 1) & 1)).astype(np.int8)
+    return np.repeat(levels, np.diff(j, prepend=0, append=hi - lo))
+
+
 def _pearson01(a: np.ndarray, b: np.ndarray) -> float:
     if a.std() == 0 or b.std() == 0:
         return 0.0
@@ -233,14 +261,14 @@ def classify_trace(trace: OpticalTrace, reference: bytes, cfg: SerialConfig,
     matches = sum(a == b for a, b in zip(decoded.octets, reference))
     score_content = matches / len(reference)
 
-    t = np.arange(trace.samples.size) / trace.sample_rate
     # Close sub-window gaps between ON intervals: fast toggling collapses
     # into bursts without padding slow signals, so an envelope-shaped trace
     # maps onto itself.
     trace_env = union_stream(events.intervals(1), events.duration,
                              events.initial_level == 1, gap=window)
     ref_env = activity_envelope(uart_encode(reference, cfg), window)
-    score_activity = _pearson01(trace_env.levels_at_sorted(t), ref_env.levels_at_sorted(t))
+    grid = (0.0, trace.sample_rate, 0, trace.n_samples)
+    score_activity = _pearson01(_grid_levels(trace_env, *grid), _grid_levels(ref_env, *grid))
 
     s = trace.samples
     span = float(s.max() - s.min())
@@ -283,20 +311,28 @@ def leakage_mutual_information(trace: OpticalTrace, data_line: LogicEventStream,
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    t = trace.times()
-    # The sample instants are sorted, so the overlap [0, duration] is a slice.
-    lo = np.searchsorted(t, 0.0, side="left")
-    hi = np.searchsorted(t, data_line.duration, side="right")
+    grid = (trace.origin_time, trace.sample_rate)
+    # The sample instants are sorted, so the overlap [0, duration] is a
+    # slice; an instant is past duration iff at or after the next float.
+    lo, hi = _grid_index(*grid, trace.n_samples, [0.0, np.nextafter(data_line.duration, np.inf)])
     if lo >= hi:
         raise ValueError("trace and data line do not overlap in time")
     x = trace.samples[lo:hi]
-    y = data_line.levels_at_sorted(t[lo:hi])
     lo_v, hi_v = float(x.min()), float(x.max())
     span = hi_v - lo_v
     if span <= 0:
         return 0.0
-    xi = np.minimum((bins * (x - lo_v) / span).astype(np.int64), bins - 1)
-    joint = np.bincount(xi * 2 + y, minlength=bins * 2).reshape(bins, 2).astype(np.float64)
+    # bins * (x - lo_v) / span with its operations in its order, but in place,
+    # so no more than two sample-sized temporaries are alive at once.
+    scaled = x - lo_v
+    scaled *= bins
+    scaled /= span
+    xi = scaled.astype(np.int64)
+    del scaled
+    np.minimum(xi, bins - 1, out=xi)
+    xi *= 2
+    xi += _grid_levels(data_line, *grid, lo, hi)
+    joint = np.bincount(xi, minlength=bins * 2).reshape(bins, 2).astype(np.float64)
     n = joint.sum()
     p = joint / n
     px = p.sum(axis=1, keepdims=True)

@@ -137,19 +137,6 @@ class LogicEventStream:
         k = np.searchsorted(self._edge_array, times, side="right")
         return (self.initial_level ^ (k & 1)).astype(np.int8)
 
-    def levels_at_sorted(self, times: np.ndarray) -> np.ndarray:
-        """:meth:`levels_at` for a non-decreasing 1-D array of instants.
-
-        Places the edges among the instants instead of the instants among
-        the edges: edge ``e`` is counted at instant ``t_i`` iff ``e <= t_i``,
-        so each run of instants between consecutive edges takes one level.
-        The result is undefined if ``times`` is not sorted.
-        """
-        j = np.searchsorted(times, self._edge_array, side="left")
-        runs = np.diff(j, prepend=0, append=len(times))
-        levels = (self.initial_level ^ (np.arange(runs.size) & 1)).astype(np.int8)
-        return np.repeat(levels, runs)
-
     def invert(self) -> "LogicEventStream":
         return LogicEventStream(1 - self.initial_level, self._edge_array, self.duration)
 
@@ -179,7 +166,7 @@ class OpticalTrace:
     """Uniformly sampled photodetector signal in normalized irradiance.
 
     Sample ``i`` is the value at ``origin_time + i / sample_rate``. The
-    sample array is frozen read-only on construction.
+    sample array is copied and frozen read-only on construction.
     """
 
     sample_rate: float
@@ -189,7 +176,7 @@ class OpticalTrace:
     def __post_init__(self) -> None:
         if not 0 < self.sample_rate < float("inf"):
             raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
-        arr = np.array(self.samples, dtype=np.float64, copy=True)
+        arr = np.array(self.samples, dtype=np.float64, copy=type(self.samples) is not _Fresh)
         if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         if arr.size and not np.all(np.isfinite(arr)):
@@ -205,8 +192,16 @@ class OpticalTrace:
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
 
-    def times(self) -> np.ndarray:
-        return self.origin_time + np.arange(self.samples.size) / self.sample_rate
+    @classmethod
+    def _adopt(cls, sample_rate: float, samples: np.ndarray,
+               origin_time: float = 0.0) -> "OpticalTrace":
+        """A trace over ``samples``, a float64 array that nothing else holds:
+        every check of construction, without the copy."""
+        return cls(sample_rate, samples.view(_Fresh), origin_time)
+
+
+class _Fresh(np.ndarray):
+    """Marks the array :meth:`OpticalTrace._adopt` hands over uncopied."""
 
 
 @dataclass(frozen=True)
@@ -226,4 +221,4 @@ class NoiseModel:
         if not -float("inf") < self.ambient_offset < float("inf"):
             raise ValueError(f"ambient_offset must be finite, got {self.ambient_offset}")
         if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")

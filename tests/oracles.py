@@ -3,7 +3,8 @@ expected test values.
 
 Everything here is deliberately brute force (bit-serial loops, dense
 sampling) and shares no code with the package under test, but for the
-header parse and value types of the file readers.
+header parse and value types of the file readers, and the stretch sweep's
+row-by-row loop, which checks only how the sweep shares one noise draw.
 """
 
 from __future__ import annotations
@@ -13,7 +14,17 @@ from bisect import bisect_left
 
 import numpy as np
 
+from ledleak.emanation import (
+    DeviceProfile,
+    DriveConfig,
+    EmanationClass,
+    LedModel,
+    synthesize_class,
+    uart_encode,
+)
+from ledleak.errors import NoSignalError
 from ledleak.formats import EVENTS_MAGIC, TRACE_MAGIC, _header_fields
+from ledleak.recovery import bit_error_rate, leakage_mutual_information, recover_data
 from ledleak.signals import LogicEventStream, OpticalTrace
 
 
@@ -323,13 +334,36 @@ def ber_definition(sent: bytes, recovered: bytes) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Sample instants and line levels on them (the grid built in full)
+# ---------------------------------------------------------------------------
+
+def trace_times(trace) -> np.ndarray:
+    """Every sample instant, ``origin_time + i / sample_rate``, as an array."""
+    return trace.origin_time + np.arange(trace.samples.size) / trace.sample_rate
+
+
+def levels_at_sorted(line, times: np.ndarray) -> np.ndarray:
+    """``line.levels_at`` for a non-decreasing 1-D array of instants.
+
+    Places the edges among the instants instead of the instants among the
+    edges: edge ``e`` is counted at instant ``t_i`` iff ``e <= t_i``, so
+    each run of instants between consecutive edges takes one level. The
+    result is undefined if ``times`` is not sorted.
+    """
+    j = np.searchsorted(times, line.edge_array, side="left")
+    runs = np.diff(j, prepend=0, append=len(times))
+    levels = (line.initial_level ^ (np.arange(runs.size) & 1)).astype(np.int8)
+    return np.repeat(levels, runs)
+
+
+# ---------------------------------------------------------------------------
 # Leakage mutual information (boolean overlap mask, levels_at per instant)
 # ---------------------------------------------------------------------------
 
 def leakage_mutual_information_mask(trace, data_line, bins: int = 16) -> float:
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    t = trace.times()
+    t = trace_times(trace)
     mask = (t >= 0.0) & (t <= data_line.duration)
     if not mask.any():
         raise ValueError("trace and data line do not overlap in time")
@@ -394,3 +428,39 @@ def read_events_loop(path):
         header = _header_fields(fh.readline().rstrip("\n"), EVENTS_MAGIC)
         edges = tuple(float(line) for line in fh if line.strip())
     return LogicEventStream(int(header["initial"]), edges, float(header["duration_s"]))
+
+
+# ---------------------------------------------------------------------------
+# Additive noise (the trace's own full-length draw)
+# ---------------------------------------------------------------------------
+
+def add_noise_samples(trace, noise) -> np.ndarray:
+    """The samples of ``add_noise(trace, noise)``: offset first, then a draw
+    of exactly ``n_samples`` values; no noise at all leaves the samples."""
+    if noise.gaussian_sigma == 0 and noise.ambient_offset == 0:
+        return trace.samples
+    out = trace.samples + noise.ambient_offset
+    if noise.gaussian_sigma > 0:
+        out += np.random.default_rng(noise.seed).normal(0.0, noise.gaussian_sigma, out.size)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Pulse-stretch sweep (each row synthesized on its own, with its own draw)
+# ---------------------------------------------------------------------------
+
+def stretch_sweep_rows(data, serial, stretch_seconds, sample_rate, noise) -> list[dict]:
+    line = uart_encode(data, serial)
+    rows = []
+    for min_on in sorted(stretch_seconds):
+        drive = DriveConfig(serial=serial, pulse_stretch=min_on)
+        profile = DeviceProfile(EmanationClass.CONTENT, LedModel(), drive)
+        trace = synthesize_class(profile, data, noise, sample_rate)
+        try:
+            recovered = recover_data(trace, serial).octets
+        except NoSignalError:
+            recovered = b""
+        ber = bit_error_rate(data, recovered)
+        mi = leakage_mutual_information(trace, line, bins=16)
+        rows.append({"min_on_s": min_on, "ber": ber, "mi_bits": mi})
+    return rows

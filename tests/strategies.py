@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from ledleak.signals import LogicEventStream, OpticalTrace
 
-#: 1 kHz to 3.3 MHz: named rates (16x 9600 baud, the sweep's 1 MHz) and any between.
-SAMPLE_RATES = st.one_of(st.sampled_from([1e3, 153600.0, 1e6, 3.3e6]),
+from oracles import trace_times
+
+#: 1 kHz to 3.3 MHz: named rates (16x 9600 baud, the sweep's 1 MHz, one whose
+#: period is not exact) and any between.
+SAMPLE_RATES = st.one_of(st.sampled_from([1e3, 153600.0, 1e6, 1e6 / 3, 3.3e6]),
                          st.floats(1e3, 3.3e6))
 #: Trace origins, in sample periods (off the grid too) or in seconds.
 _ORIGINS = st.one_of(st.sampled_from([0.0, -1.5, 0.5]).map(lambda k: ("periods", k)),
@@ -42,7 +45,7 @@ def grid_and_stream(draw, max_samples: int = 200):
     unit, k = draw(_ORIGINS)
     trace = OpticalTrace(rate, np.zeros(draw(st.integers(0, max_samples))),
                          k / rate if unit == "periods" else k)
-    t = trace.times()
+    t = trace_times(trace)
     inside = t[t >= 0]
     on_grid, u = draw(st.tuples(st.booleans(), st.floats(0.0, 1.0)))
     if on_grid and inside.size:

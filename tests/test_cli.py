@@ -23,12 +23,15 @@ from ledleak.cli import (
     ExperimentConfig,
     build_parser,
     main,
+    run_stretch_sweep,
 )
 from ledleak.emanation import MAX_SAMPLES
 from ledleak.formats import read_events, read_trace, write_trace
-from ledleak.signals import OpticalTrace
+from ledleak.signals import NoiseModel, OpticalTrace, SerialConfig
 
 import numpy as np
+
+from oracles import stretch_sweep_rows
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -161,6 +164,39 @@ class TestSweep:
         assert stdout == f"{tmp_path / 's' / 'sweep_stretch.csv'}\n"
         assert err == ("warning: sample_rate 153600 Hz is below 4x the shortest pulse "
                        "(3.33333e-10 s); short pulses may be missed\n")
+
+    def test_warning_as_error_is_one_error_line(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "sweep-stretch", "--data", "SWEEPDATASWEEPDATA",
+                                    "--stretch-us", "0,208.333", "--sample-rate", "153600",
+                                    "--out", str(tmp_path / "s"))
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err == ("error: sample_rate 153600 Hz is below 4x the shortest pulse "
+                       "(3.33333e-10 s); short pulses may be missed\n")
+        assert not (tmp_path / "s").exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.binary(min_size=1, max_size=6),
+           stretch_bits=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 10.0, 40.0]),
+                                 min_size=1, max_size=5),
+           rate=st.sampled_from([38400.0, 153600.0, 1e6 / 3]),
+           sigma=st.sampled_from([0.0, 0.02, 0.3]),
+           offset=st.sampled_from([0.0, -0.0, 0.01, -0.2]),
+           seed=st.integers(0, 2**64 - 1))
+    def test_rows_match_row_by_row_synthesis(self, data, stretch_bits, rate, sigma, offset, seed):
+        """Unsorted and repeated stretches, stretches that lengthen the
+        trace, no noise, offset only, sigma only and both: every float as
+        when each row drew its own noise through ``synthesize_class``."""
+        serial = SerialConfig()
+        stretch = [k * serial.bit_time for k in stretch_bits]
+        noise = NoiseModel(sigma, offset, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = run_stretch_sweep(data, serial, stretch, rate, noise)
+            want = stretch_sweep_rows(data, serial, stretch, rate, noise)
+        assert [list(map(repr, r.values())) for r in got] == \
+            [list(map(repr, r.values())) for r in want]
 
     def test_empty_list_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep-stretch", "--data", "x",
@@ -435,6 +471,26 @@ class TestInputContract:
         assert stdout == ""
         assert_one_error_line(err)
         assert f"sample_rate {rate} Hz exceeds the cap of {MAX_SAMPLES} samples" in err
+        assert not out.exists()
+        assert peak < 1 << 20
+
+    def test_sweep_row_over_cap_exits_config(self, tmp_path, capsys):
+        # The unstretched row alone would take ~5 MiB; the 2 s one is over
+        # the cap, so the sweep must refuse before it makes any row.
+        out = tmp_path / "s"
+        tracemalloc.start()
+        try:
+            code, stdout, err = run(capsys, "sweep-stretch", "--stretch-us", "0,2e6",
+                                    "--sample-rate", "1e8", "--sigma", "0.01",
+                                    "--out", str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert_one_error_line(err)
+        assert err.startswith("error: duration ")
+        assert err.endswith(f" s x sample_rate 100000000.0 Hz exceeds the cap of "
+                            f"{MAX_SAMPLES} samples per trace\n")
         assert not out.exists()
         assert peak < 1 << 20
 
@@ -762,8 +818,8 @@ _TRACE_ARG = {"recover", "classify"}
 _RANGE_ERRORS = [
     ("synth", "sample_rate", "0", "sample_rate must be positive and finite, got 0.0"),
     ("synth", "gap_ms", "-1", "idle_between_octets must be >= 0 and finite, got -0.001"),
-    ("diode", "attenuation", "2", "channel_attenuation must be in [0, 1]"),
-    ("recover", "seed", "-1", "seed must fit in 64 bits"),
+    ("diode", "attenuation", "2", "channel_attenuation must be in [0, 1], got 2.0"),
+    ("recover", "seed", "-1", "seed must fit in 64 bits, got -1"),
     ("synth", "sigma", "nan", "gaussian_sigma must be >= 0 and finite, got nan"),
 ]
 

@@ -13,6 +13,8 @@ from ledleak.diode import DiodeLink, diode_send
 from ledleak.emanation import (
     MAX_SAMPLES,
     DeviceProfile,
+    _add_draw,
+    _gaussian_draw,
     DriveConfig,
     EmanationClass,
     LedModel,
@@ -31,6 +33,7 @@ from ledleak.signals import LogicEventStream, NoiseModel, OpticalTrace, SerialCo
 
 from oracles import (
     activity_envelope_loop,
+    add_noise_samples,
     envelope_intervals,
     exp_approach,
     led_transduce_loop,
@@ -458,6 +461,21 @@ class TestAddNoise:
         assert np.array_equal(out.samples, (before + offset) + noise)
         assert np.array_equal(tr.samples, before)
 
+    @settings(max_examples=150, deadline=None)
+    @given(samples=st.lists(st.sampled_from([0.0, -0.0, 1.0, 0.5, 1e-300]), max_size=40),
+           sigma=st.sampled_from([0.0, 0.05]), offset=st.sampled_from([0.0, -0.0, 0.25]),
+           seed=st.integers(0, 2**64 - 1), extra=st.integers(0, 50))
+    def test_prefix_of_a_longer_draw(self, samples, sigma, offset, seed, extra):
+        """``add_noise`` and the sweep's shared draw give the bytes of the
+        trace's own draw, signed zeros included."""
+        tr = OpticalTrace(1e4, np.array(samples))
+        noise = NoiseModel(sigma, offset, seed)
+        want = add_noise_samples(tr, noise).tobytes()
+        assert add_noise(tr, noise).samples.tobytes() == want
+        longer = _gaussian_draw(noise, tr.n_samples + extra)
+        assert (longer is None) == (sigma == 0)
+        assert _add_draw(tr, noise, longer).samples.tobytes() == want
+
 
 # ---------------------------------------------------------------------------
 # synthesize_class and profiles
@@ -544,3 +562,15 @@ class TestSynthesizeClass:
             LedModel(off_level=0.5, on_level=0.5)
         with pytest.raises(ValueError):
             LedModel(on_level=1.5)
+
+
+@pytest.mark.parametrize("seed", [0, 101, 2**63 + 5])
+@pytest.mark.parametrize("sigma", [1e-3, 0.02, 7.5])
+def test_generator_normal_draw_is_a_prefix_of_a_longer_one(seed, sigma):
+    """The stretch sweep gives each row the first values of one draw sized
+    for the longest row; that is each row's own draw only while numpy's
+    ``Generator.normal`` keeps this property."""
+    long = np.random.default_rng(seed).normal(0.0, sigma, size=100_003)
+    for n in (0, 1, 2, 7, 1000, 65_537, 100_002):
+        short = np.random.default_rng(seed).normal(0.0, sigma, size=n)
+        assert short.tobytes() == long[:n].tobytes()

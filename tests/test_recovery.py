@@ -21,6 +21,8 @@ from ledleak.emanation import (
 from ledleak.errors import EstimationError, NoSignalError
 from ledleak.recovery import (
     DecodeResult,
+    _grid_index,
+    _grid_levels,
     bit_error_rate,
     classify_trace,
     decode_auto_polarity,
@@ -35,7 +37,9 @@ from ledleak.signals import LogicEventStream, NoiseModel, OpticalTrace, SerialCo
 from oracles import (
     ber_definition,
     leakage_mutual_information_mask,
+    levels_at_sorted,
     threshold_detect_loop,
+    trace_times,
     uart_decode_loop,
     uart_encode_loop,
 )
@@ -448,8 +452,55 @@ def _value_or_error(f, *args):
         return str(exc)
 
 
+def _near(t: np.ndarray) -> np.ndarray:
+    """Each of ``t`` and the floats one ulp either side of it."""
+    return np.concatenate((t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)))
+
+
+class TestGridMatchesBuiltGrid:
+    """``_grid_index`` is ``np.searchsorted`` on the grid built in full (and
+    of the next float up, its ``side="right"``), and ``_grid_levels`` is
+    ``levels_at_sorted`` on any slice of it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_and_stream(), st.data())
+    def test_property(self, case, data):
+        trace, line = case
+        origin, rate, n = trace.origin_time, trace.sample_rate, trace.n_samples
+        t = trace_times(trace)
+        values = _near(np.concatenate((t, line.edge_array, [0.0, line.duration])))
+        assert np.array_equal(_grid_index(origin, rate, n, values), np.searchsorted(t, values))
+        assert np.array_equal(_grid_index(origin, rate, n, np.nextafter(values, np.inf)),
+                              np.searchsorted(t, values, side="right"))
+        lo = data.draw(st.integers(0, n), label="lo")
+        hi = data.draw(st.integers(lo, n), label="hi")
+        got = _grid_levels(line, origin, rate, lo, hi)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, levels_at_sorted(line, t[lo:hi]))
+
+    @pytest.mark.parametrize("origin", [1e12, -1e12, 3e11 + 0.5])
+    def test_repeated_instants(self, origin):
+        """Far from 0 many instants round to one float, so the first guess
+        can miss by many indices."""
+        rate, n = 1e6 / 3, 4000
+        t = origin + np.arange(n) / rate
+        assert np.count_nonzero(np.diff(t) == 0) > n // 2
+        rng = np.random.default_rng(5)
+        values = _near(np.concatenate((t[rng.integers(0, n, 300)],
+                                       rng.uniform(t[0] - 1e-3, t[-1] + 1e-3, 300))))
+        assert np.array_equal(_grid_index(origin, rate, n, values), np.searchsorted(t, values))
+        line = LogicEventStream(1, np.unique(values[values >= 0]), float(abs(values).max()) + 1.0)
+        assert np.array_equal(_grid_levels(line, origin, rate, 100, 3000),
+                              levels_at_sorted(line, t[100:3000]))
+
+    def test_no_instants_and_no_values(self):
+        assert _grid_index(0.0, 1e3, 0, [0.0, -1.0, 5.0]).tolist() == [0, 0, 0]
+        assert _grid_index(0.0, 1e3, 10, []).tolist() == []
+        assert _grid_levels(LogicEventStream(1, (), 1.0), 0.0, 1e3, 3, 3).tolist() == []
+
+
 class TestMutualInformationMatchesMask:
-    """The overlap slice and ``levels_at_sorted`` give the float of the
+    """The overlap slice and the levels on the grid give the float of the
     boolean mask and ``levels_at``, or the same error."""
 
     @settings(max_examples=120, deadline=None)
@@ -462,7 +513,7 @@ class TestMutualInformationMatchesMask:
         if kind == "noise":
             samples = rng.normal(0.0, 1.0, n)
         elif kind == "copy":
-            samples = line.levels_at(grid.times()) + rng.normal(0.0, 0.1, n)
+            samples = line.levels_at(trace_times(grid)) + rng.normal(0.0, 0.1, n)
         else:  # few distinct values, so samples sit on bin edges
             samples = rng.integers(0, 4, n) / 3.0
         trace = OpticalTrace(grid.sample_rate, samples, grid.origin_time)

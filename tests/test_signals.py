@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ledleak.errors import ConfigError
 from ledleak.signals import LogicEventStream, NoiseModel, OpticalTrace, SerialConfig
 
+from oracles import levels_at_sorted, trace_times
 from strategies import grid_and_stream
 
 
@@ -141,27 +142,27 @@ class TestLevelsAtSorted:
         """On the trace's sample grid, or on a sorted multiset of instants on,
         one ulp either side of and beyond the edges."""
         trace, line = case
-        t = trace.times()
+        t = trace_times(trace)
         if data.draw(st.booleans(), label="repeated instants"):
             spots = [0.0, line.duration, -1.0, line.duration + 1.0, *line.edges,
                      *(float(np.nextafter(e, np.inf)) for e in line.edges),
                      *(float(np.nextafter(e, -np.inf)) for e in line.edges)]
             u = np.array(data.draw(_FRACTIONS), dtype=np.float64)
             t = np.sort(np.array(spots)[(u * (len(spots) - 1)).astype(np.int64)])
-        got = line.levels_at_sorted(t)
+        got = levels_at_sorted(line, t)
         assert got.dtype == np.int8
         assert np.array_equal(got, line.levels_at(t))
 
     def test_empty_grid_and_no_edges(self):
         line = LogicEventStream(1, (), 1.0)
-        assert line.levels_at_sorted(np.arange(0.0)).tolist() == []
-        assert line.levels_at_sorted(np.arange(3.0)).tolist() == [1, 1, 1]
-        assert LogicEventStream(0, (0.5,), 1.0).levels_at_sorted(np.arange(0.0)).dtype == np.int8
+        assert levels_at_sorted(line, np.arange(0.0)).tolist() == []
+        assert levels_at_sorted(line, np.arange(3.0)).tolist() == [1, 1, 1]
+        assert levels_at_sorted(LogicEventStream(0, (0.5,), 1.0), np.arange(0.0)).dtype == np.int8
 
     def test_edge_on_an_instant_counts_there(self):
         line = LogicEventStream(0, (0.0, 1.0, 2.0), 2.0)
         t = np.array([0.0, 0.5, 1.0, 1.0, 2.0])
-        assert line.levels_at_sorted(t).tolist() == [1, 1, 0, 0, 1]
+        assert levels_at_sorted(line, t).tolist() == [1, 1, 0, 0, 1]
 
 
 class TestOpticalTrace:
@@ -179,8 +180,20 @@ class TestOpticalTrace:
     def test_duration_and_times(self):
         tr = OpticalTrace(100.0, np.zeros(50), origin_time=2.0)
         assert tr.duration == pytest.approx(0.5)
-        assert tr.times()[0] == 2.0
-        assert tr.times()[-1] == pytest.approx(2.49)
+        assert trace_times(tr)[0] == 2.0
+        assert trace_times(tr)[-1] == pytest.approx(2.49)
+
+    def test_adopt_skips_only_the_copy(self):
+        arr = np.zeros(4)
+        tr = OpticalTrace._adopt(10.0, arr, 2.0)
+        assert np.shares_memory(tr.samples, arr) and not tr.samples.flags.writeable
+        assert type(tr.samples) is np.ndarray
+        assert (tr.sample_rate, tr.origin_time) == (10.0, 2.0)
+        for rate, samples, match in [(0.0, np.zeros(3), "sample_rate"),
+                                     (1.0, np.zeros((2, 2)), "one-dimensional"),
+                                     (1.0, np.array([0.0, np.inf]), "finite")]:
+            with pytest.raises(ValueError, match=match):
+                OpticalTrace._adopt(rate, samples)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
