@@ -175,8 +175,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     profile = _profile(cfg, serial)
     data = _payload_octets(cfg)
     noise = NoiseModel(cfg.sigma, cfg.offset, cfg.seed)
-    trace = emanation.synthesize_class(profile, data, noise, cfg.sample_rate)
     lit = emanation.drive_stream(profile, data)
+    trace = emanation.add_noise(emanation.led_transduce(lit, profile.led, cfg.sample_rate), noise)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.optrace"
@@ -218,14 +218,13 @@ def run_stretch_sweep(data: bytes, serial: SerialConfig, stretch_seconds: list[f
     noise draw, sized for the longest once all pass the sample cap: a seeded
     draw's first values are the same whatever its size.
     """
-    line = emanation.uart_encode(data, serial)
     led = emanation.LedModel()
+    drive = emanation.DriveConfig(serial=serial)
+    base = emanation.drive_stream(
+        emanation.DeviceProfile(emanation.EmanationClass.CONTENT, led, drive), data)
+    line = base.invert()
     stretches = sorted(stretch_seconds)
-    lits = []
-    for min_on in stretches:
-        drive = emanation.DriveConfig(serial=serial, pulse_stretch=min_on)
-        profile = emanation.DeviceProfile(emanation.EmanationClass.CONTENT, led, drive)
-        lits.append(emanation.drive_stream(profile, data))
+    lits = [emanation.apply_pulse_stretch(base, min_on) for min_on in stretches]
     longest = max((emanation._sample_count(lit.duration, sample_rate) for lit in lits), default=0)
     draw = emanation._gaussian_draw(noise, longest)
     rows = []
@@ -238,6 +237,7 @@ def run_stretch_sweep(data: bytes, serial: SerialConfig, stretch_seconds: list[f
             recovered = b""
         ber = recovery.bit_error_rate(data, recovered)
         mi = recovery.leakage_mutual_information(trace, line, bins=16)
+        del trace  # so the next row's samples do not coexist with this row's
         rows.append({"min_on_s": min_on, "ber": ber, "mi_bits": mi})
     return rows
 
@@ -355,15 +355,13 @@ def cmd_diode(args: argparse.Namespace) -> int:
         report, _ = diode.link_report(written(diode.link_frames(frames, link, noise)))
     print(json.dumps(report.to_dict(), sort_keys=True))
 
-    # The run above is the baseline of diode.assert_unidirectional's check.
-    audit_ok = diode.interface_partition_audit()
-    for adversary in diode.standard_adversaries():
-        adversarial, _ = diode.diode_send(frames, link, noise, rx_program=adversary)
-        base, adv = report.emitter_trace_digest, adversarial.emitter_trace_digest
-        if not (audit_ok and base == adv):
-            print(f"error: unidirectionality violation under {adversary.__name__}: "
-                  f"{base[:16]} != {adv[:16]}", file=sys.stderr)
-            return EXIT_ONE_WAY
+    evidence = diode.assert_unidirectional(report, link, diode.standard_adversaries(),
+                                           frames, noise)
+    if not evidence.passed:
+        print(f"error: unidirectionality violation under {evidence.adversary}: "
+              f"{evidence.baseline_digest[:16]} != {evidence.adversarial_digest[:16]}",
+              file=sys.stderr)
+        return EXIT_ONE_WAY
     return EXIT_OK
 
 
@@ -442,7 +440,8 @@ _LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x8
 
 
 def _error(exc: Exception) -> None:
-    print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+    message = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
+    print(f"error: {message.translate(_LINE_BREAKS)}", file=sys.stderr)
 
 
 def _warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -460,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         except (NoSignalError, EstimationError) as exc:
             _error(exc)
             return EXIT_NO_SIGNAL
-        except (ConfigError, ValueError, OSError, Warning) as exc:
+        except (ConfigError, ValueError, OSError, Warning, MemoryError) as exc:
             _error(exc)
             return EXIT_CONFIG
 

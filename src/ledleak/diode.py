@@ -177,7 +177,7 @@ class ReceiverPort:
     def __init__(self, rx: ReceiverCircuit) -> None:
         self.rx = rx
         self.decoded: list[bytes] = []
-        self.results: list[ValidationResult] = []
+        self.accepted = 0
         self.injected_total = 0
         self._pending = bytearray()
 
@@ -192,14 +192,11 @@ class ReceiverPort:
 
     def record(self, octets: bytes, result: ValidationResult) -> None:
         self.decoded.append(octets)
-        self.results.append(result)
+        self.accepted += result.accepted
 
     def snapshot(self) -> dict:
-        return {
-            "decoded": list(self.decoded),
-            "accepted": sum(r.accepted for r in self.results),
-            "rx": self.rx,
-        }
+        """Everything the port exposes, in O(1): ``decoded`` is the live list."""
+        return {"decoded": self.decoded, "accepted": self.accepted, "rx": self.rx}
 
 
 def _emit_frame(octets: bytes, serial_cfg: SerialConfig, tx_led: LedModel,
@@ -295,24 +292,28 @@ class UnidirectionalEvidence:
     audit_ok: bool
     baseline_digest: str
     adversarial_digest: str
+    adversary: str | None = None  # the name of the adversary that failed
 
 
-def assert_unidirectional(link: DiodeLink, adversary, frames: list[EthernetFrame],
-                          noise: NoiseModel) -> UnidirectionalEvidence:
+def assert_unidirectional(baseline: LinkReport, link: DiodeLink, adversaries: Iterable,
+                          frames: list[EthernetFrame], noise: NoiseModel) -> UnidirectionalEvidence:
     """Empirical one-way check over a fixed frame set and seed.
 
-    Runs the link twice, the second time with the adversarial receive-side
-    program active. Passes iff the emitter trace digests are bit-identical
-    and the interface partition audit holds; receive-side activity must not
-    be able to influence the light.
+    ``baseline`` is the report of a run with no receive-side program. Runs
+    the link once per adversarial receive-side program, stopping at the
+    first whose emitter trace digest differs from the baseline's, or at the
+    first when the interface partition audit fails. Passes iff every digest
+    is bit-identical and the audit holds; receive-side activity must not be
+    able to influence the light.
     """
-    baseline, _ = diode_send(frames, link, noise)
-    adversarial, _ = diode_send(frames, link, noise, rx_program=adversary)
     audit = interface_partition_audit()
-    same = baseline.emitter_trace_digest == adversarial.emitter_trace_digest
-    return UnidirectionalEvidence(same and audit, audit,
-                                  baseline.emitter_trace_digest,
-                                  adversarial.emitter_trace_digest)
+    digest = baseline.emitter_trace_digest
+    for adversary in adversaries:
+        adversarial, _ = diode_send(frames, link, noise, rx_program=adversary)
+        if not (audit and adversarial.emitter_trace_digest == digest):
+            return UnidirectionalEvidence(False, audit, digest, adversarial.emitter_trace_digest,
+                                          adversary.__name__)
+    return UnidirectionalEvidence(audit, audit, digest, digest)
 
 
 def flood_receive_buffers(port: ReceiverPort, frame_index: int) -> None:
@@ -336,7 +337,7 @@ def poke_receive_interface(port: ReceiverPort, frame_index: int) -> None:
     except Exception:
         pass
     port.inject(b"\x00")
-    port.results.clear()
+    port.accepted = 0
 
 
 def standard_adversaries() -> tuple:

@@ -288,17 +288,6 @@ class PipelineState:
         self._finished = True
         return self
 
-    def field_values(self) -> dict:
-        values = {
-            "dst": self.dst,
-            "src": self.src,
-            "ethertype": self.ethertype,
-            "length": self.frame_length,
-            "payload": self.payload,
-            "fcs_ok": self.fcs_ok,
-        }
-        return {name: values[name] for name in self.fields_valid if name in values}
-
 
 @dataclass(frozen=True)
 class ValidationResult:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ctypes
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,12 +127,8 @@ class LogicEventStream:
         """The edges as a read-only float64 array, built once."""
         return self._edge_array
 
-    def level_at(self, t: float) -> int:
-        k = bisect_right(self.edges, t)
-        return self.initial_level ^ (k & 1)
-
     def levels_at(self, times: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`level_at` for an array of instants, of any shape."""
+        """The level at each instant of ``times``, of any shape; an edge counts from its own."""
         k = np.searchsorted(self._edge_array, times, side="right")
         return (self.initial_level ^ (k & 1)).astype(np.int8)
 

@@ -10,7 +10,7 @@ row-by-row loop, which checks only how the sweep shares one noise draw.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -47,6 +47,17 @@ def crc32_bitserial(data: bytes) -> int:
 
 def crc32_bitserial_le(data: bytes) -> bytes:
     return crc32_bitserial(data).to_bytes(4, "little")
+
+
+# ---------------------------------------------------------------------------
+# Cut-through pipeline: the values of its valid fields
+# ---------------------------------------------------------------------------
+
+def field_values(state) -> dict:
+    """The values of the fields a ``PipelineState`` has marked valid so far."""
+    values = {"dst": state.dst, "src": state.src, "ethertype": state.ethertype,
+              "length": state.frame_length, "payload": state.payload, "fcs_ok": state.fcs_ok}
+    return {name: values[name] for name in state.fields_valid if name in values}
 
 
 # ---------------------------------------------------------------------------
@@ -130,20 +141,20 @@ def uart_decode_loop(events, cfg) -> tuple[bytes, int, int, float]:
         if i >= len(falls):
             break
         ts = falls[i]
-        if events.level_at(ts + 0.5 * bit) != 0:
+        if level_at(events, ts + 0.5 * bit) != 0:
             t = ts + 0.5 * bit  # glitch, not a real start bit
             continue
         value = 0
         for k in range(cfg.data_bits):
-            if events.level_at(ts + (1.5 + k) * bit):
+            if level_at(events, ts + (1.5 + k) * bit):
                 value |= 1 << k
         pos = 1.5 + cfg.data_bits
         parity_err = False
         if cfg.parity != "none":
-            parity_err = events.level_at(ts + pos * bit) != parity_bit(cfg, value)
+            parity_err = level_at(events, ts + pos * bit) != parity_bit(cfg, value)
             pos += 1
         stops_ok = all(
-            events.level_at(ts + (pos + j) * bit) == 1 for j in range(cfg.stop_bits)
+            level_at(events, ts + (pos + j) * bit) == 1 for j in range(cfg.stop_bits)
         )
         last_stop_sample = ts + (pos + cfg.stop_bits - 1) * bit
         if stops_ok:
@@ -336,6 +347,11 @@ def ber_definition(sent: bytes, recovered: bytes) -> float:
 # ---------------------------------------------------------------------------
 # Sample instants and line levels on them (the grid built in full)
 # ---------------------------------------------------------------------------
+
+def level_at(line, t: float) -> int:
+    """The level of ``line`` at instant ``t``; an edge at ``t`` counts."""
+    return line.initial_level ^ (bisect_right(line.edges, t) & 1)
+
 
 def trace_times(trace) -> np.ndarray:
     """Every sample instant, ``origin_time + i / sample_rate``, as an array."""

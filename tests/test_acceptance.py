@@ -204,13 +204,14 @@ class TestAcceptance:
                          and all(a.serialize() == f.serialize()
                                  for a, f in zip(accepted, frames)))
 
-        adversary_ok = True
-        for adversary in standard_adversaries():
-            evidence = assert_unidirectional(link, adversary, frames, noise)
-            adversary_ok = adversary_ok and evidence.passed
+        evidence = assert_unidirectional(clean_report, link, standard_adversaries(),
+                                         frames, noise)
+        adversary_ok = evidence.passed
 
         wired = WiredBackLink(channel_attenuation=0.8)
-        negative = assert_unidirectional(wired, flood_receive_buffers, frames, noise)
+        wired_report, _ = diode_send(frames, wired, noise)
+        negative = assert_unidirectional(wired_report, wired, [flood_receive_buffers],
+                                         frames, noise)
         negative_ok = not negative.passed
 
         ok = acceptance_ok and adversary_ok and negative_ok

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from ledleak import diode
+from ledleak import diode, emanation
 from ledleak.cli import (
     EXIT_CONFIG,
     EXIT_NO_SIGNAL,
     EXIT_OK,
     EXIT_ONE_WAY,
     ExperimentConfig,
+    _deterministic_frames,
     build_parser,
     main,
     run_stretch_sweep,
@@ -74,6 +75,12 @@ class TestSynthRecover:
         result = json.loads(stdout)
         assert result["baud_used"] == 19200.0
         assert bytes.fromhex(result["octets_hex"]) == b"AUTODETECT"
+
+    def test_synth_encodes_the_line_once(self, tmp_path, capsys):
+        with mock.patch("ledleak.emanation.uart_encode", wraps=emanation.uart_encode) as enc:
+            code, _, err = run(capsys, "synth", "--seed", "1", "--out", str(tmp_path / "s"))
+        assert code == EXIT_OK, err
+        assert enc.call_count == 1
 
     def test_class_i_constant_trace(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -155,6 +162,13 @@ class TestSweep:
         first = csv[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[1]) == 0.0  # clean channel, no stretch
+
+    def test_sweep_encodes_the_line_once(self, tmp_path, capsys):
+        with mock.patch("ledleak.emanation.uart_encode", wraps=emanation.uart_encode) as enc:
+            code, _, err = run(capsys, "sweep-stretch", "--stretch-us", "0,104.2,1041.7",
+                               "--out", str(tmp_path / "s"))
+        assert code == EXIT_OK, err
+        assert enc.call_count == 1
 
     def test_warning_is_one_line(self, tmp_path, capsys):
         code, stdout, err = run(capsys, "sweep-stretch", "--data", "SWEEPDATASWEEPDATA",
@@ -340,6 +354,19 @@ class TestDiodeCli:
         assert code == EXIT_ONE_WAY
         assert "violation" in err
 
+    def test_wired_back_names_the_adversary_and_digests(self, tmp_path, capsys):
+        code, _, err = run(capsys, "diode", "--frames", "3", "--seed", "4",
+                           "--wired-back", "--out", str(tmp_path / "d"))
+        serial = SerialConfig(baud=9600.0)
+        link = diode.WiredBackLink(channel_attenuation=0.8, sample_rate=16 * serial.baud,
+                                   serial_cfg=serial)
+        frames, noise = _deterministic_frames(3, 4), NoiseModel(0.0, 0.0, 4)
+        base, _ = diode.diode_send(frames, link, noise)
+        adv, _ = diode.diode_send(frames, link, noise, rx_program=diode.flood_receive_buffers)
+        assert code == EXIT_ONE_WAY
+        assert err == (f"error: unidirectionality violation under flood_receive_buffers: "
+                       f"{base.emitter_trace_digest[:16]} != {adv.emitter_trace_digest[:16]}\n")
+
     def test_negative_frames_exits_config(self, tmp_path, capsys):
         out = tmp_path / "d"
         code, stdout, err = run(capsys, "diode", "--frames", "-1", "--out", str(out))
@@ -455,6 +482,18 @@ class TestInputContract:
         assert stdout == ""
         assert_one_error_line(err)
         assert "sample_rate" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 8.00 MiB"), "Unable to allocate 8.00 MiB"),
+    ])
+    def test_memory_error_exits_config(self, tmp_path, capsys, exc, message):
+        out = tmp_path / "s"
+        with mock.patch("ledleak.emanation.led_transduce", side_effect=exc):
+            code, stdout, err = run(capsys, "synth", "--out", str(out))
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
     def test_sample_count_over_cap_exits_config(self, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from ledleak.diode import (
     DiodeLink,
     LinkReport,
     ReceiverCircuit,
+    ReceiverPort,
     WiredBackLink,
     assert_unidirectional,
     contention_check,
@@ -21,7 +25,8 @@ from ledleak.diode import (
     standard_adversaries,
 )
 from ledleak.emanation import LedModel, led_transduce
-from ledleak.mac import build_frame
+from ledleak import diode
+from ledleak.mac import ValidationResult, build_frame
 from ledleak.signals import LogicEventStream, NoiseModel, OpticalTrace, SerialConfig
 
 
@@ -207,7 +212,8 @@ class TestDiodeSend:
 class TestUnidirectionality:
     def test_noop_adversary_passes(self):
         frames = frames_fixture(5, seed=6)
-        ev = assert_unidirectional(CLEAN_LINK, None, frames, NOISE)
+        baseline, _ = diode_send(frames, CLEAN_LINK, NOISE)
+        ev = assert_unidirectional(baseline, CLEAN_LINK, [None], frames, NOISE)
         assert ev.passed
         assert ev.baseline_digest == ev.adversarial_digest
 
@@ -215,7 +221,8 @@ class TestUnidirectionality:
                              ids=lambda a: a.__name__)
     def test_standard_adversaries_pass(self, adversary):
         frames = frames_fixture(5, seed=7)
-        ev = assert_unidirectional(CLEAN_LINK, adversary, frames, NOISE)
+        baseline, _ = diode_send(frames, CLEAN_LINK, NOISE)
+        ev = assert_unidirectional(baseline, CLEAN_LINK, [adversary], frames, NOISE)
         assert ev.passed
         assert ev.audit_ok
 
@@ -229,9 +236,23 @@ class TestUnidirectionality:
     def test_wired_back_double_fails(self):
         frames = frames_fixture(5, seed=9)
         wired = WiredBackLink(channel_attenuation=0.8)
-        ev = assert_unidirectional(wired, flood_receive_buffers, frames, NOISE)
+        baseline, _ = diode_send(frames, wired, NOISE)
+        ev = assert_unidirectional(baseline, wired, [flood_receive_buffers], frames, NOISE)
         assert not ev.passed
         assert ev.baseline_digest != ev.adversarial_digest
+
+    def test_stops_at_first_failing_adversary(self):
+        # snooping leaves the wired-back tap alone; poking injects an octet
+        frames = frames_fixture(3, seed=9)
+        wired = WiredBackLink(channel_attenuation=0.8)
+        baseline, _ = diode_send(frames, wired, NOISE)
+        adversaries = [snoop_receive_state, poke_receive_interface, flood_receive_buffers]
+        with mock.patch("ledleak.diode.link_frames", wraps=diode.link_frames) as runs:
+            ev = assert_unidirectional(baseline, wired, adversaries, frames, NOISE)
+        assert not ev.passed and ev.audit_ok
+        assert ev.adversary == "poke_receive_interface"
+        assert ev.baseline_digest == baseline.emitter_trace_digest != ev.adversarial_digest
+        assert runs.call_count == 2
 
     def test_wired_back_deterministic_per_run_shape(self):
         # the double is still deterministic: same run twice gives same digest
@@ -264,6 +285,20 @@ class TestUnidirectionality:
         frames = frames_fixture(2, seed=11)
         report, _ = diode_send(frames, CLEAN_LINK, NOISE, rx_program=poke_receive_interface)
         assert CLEAN_LINK.rx.pullup_ohms == 10_000.0
+
+    def test_snapshot_does_not_copy_the_history(self):
+        port = ReceiverPort(ReceiverCircuit())
+        for i in range(10_000):
+            port.record(b"\x55", ValidationResult(i % 2 == 0, None, None))
+        tracemalloc.start()
+        try:
+            snoop_receive_state(port, 10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+        assert port.snapshot()["accepted"] == 5_000
+        assert len(port.snapshot()["decoded"]) == 10_000
 
     def test_snoop_sees_but_cannot_touch(self):
         frames = frames_fixture(3, seed=12)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ledleak.errors import ConfigError
 from ledleak.signals import LogicEventStream, NoiseModel, OpticalTrace, SerialConfig
 
-from oracles import levels_at_sorted, trace_times
+from oracles import level_at, levels_at_sorted, trace_times
 from strategies import grid_and_stream
 
 
@@ -38,16 +38,16 @@ class TestSerialConfig:
 class TestLogicEventStream:
     def test_level_at_flips_on_edges(self):
         s = LogicEventStream(1, (1.0, 2.0, 3.0), 4.0)
-        assert s.level_at(0.5) == 1
-        assert s.level_at(1.0) == 0  # right-continuous
-        assert s.level_at(1.5) == 0
-        assert s.level_at(2.5) == 1
-        assert s.level_at(3.5) == 0
+        assert level_at(s, 0.5) == 1
+        assert level_at(s, 1.0) == 0  # right-continuous
+        assert level_at(s, 1.5) == 0
+        assert level_at(s, 2.5) == 1
+        assert level_at(s, 3.5) == 0
 
     def test_levels_at_matches_scalar(self):
         s = LogicEventStream(0, (0.25, 0.5, 0.75), 1.0)
         t = np.linspace(0, 1, 17)
-        assert list(s.levels_at(t)) == [s.level_at(x) for x in t]
+        assert list(s.levels_at(t)) == [level_at(s, x) for x in t]
 
     def test_invert(self):
         s = LogicEventStream(1, (1.0,), 2.0)
