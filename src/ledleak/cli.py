@@ -176,7 +176,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     data = _payload_octets(cfg)
     noise = NoiseModel(cfg.sigma, cfg.offset, cfg.seed)
     lit = emanation.drive_stream(profile, data)
-    trace = emanation.add_noise(emanation.led_transduce(lit, profile.led, cfg.sample_rate), noise)
+    trace = emanation._synthesize(lit, profile.led, cfg.sample_rate, noise)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.optrace"
@@ -212,11 +212,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def run_stretch_sweep(data: bytes, serial: SerialConfig, stretch_seconds: list[float],
                       sample_rate: float, noise: NoiseModel) -> list[dict]:
-    """One row per stretch value: recovered BER and leaked mutual information.
+    """One row per stretch value, in increasing order: recovered BER and leaked MI.
 
     Rows get the traces of ``emanation.synthesize_class``, but share one
     noise draw, sized for the longest once all pass the sample cap: a seeded
-    draw's first values are the same whatever its size.
+    draw's first values are the same whatever its size. Each row builds its
+    drive stream and trace when it runs, so one row's are held at a time.
     """
     led = emanation.LedModel()
     drive = emanation.DriveConfig(serial=serial)
@@ -224,12 +225,14 @@ def run_stretch_sweep(data: bytes, serial: SerialConfig, stretch_seconds: list[f
         emanation.DeviceProfile(emanation.EmanationClass.CONTENT, led, drive), data)
     line = base.invert()
     stretches = sorted(stretch_seconds)
-    lits = [emanation.apply_pulse_stretch(base, min_on) for min_on in stretches]
-    longest = max((emanation._sample_count(lit.duration, sample_rate) for lit in lits), default=0)
+    longest = max((emanation._sample_count(duration, sample_rate)
+                   for duration in emanation._stretched_durations(base, stretches)), default=0)
     draw = emanation._gaussian_draw(noise, longest)
     rows = []
-    for min_on, lit in zip(stretches, lits):
-        trace = emanation._add_draw(emanation.led_transduce(lit, led, sample_rate), noise, draw)
+    for min_on in stretches:
+        lit = emanation.apply_pulse_stretch(base, min_on)
+        trace = emanation._synthesize(lit, led, sample_rate, noise, draw)
+        del lit  # so one row's stream is held at a time
         try:
             recovered = recovery.recover_data(trace, serial).octets
         except NoSignalError:

@@ -292,15 +292,26 @@ def apply_pulse_stretch(line: LogicEventStream, min_on: float) -> LogicEventStre
     eyes while destroying bit-level content. ``min_on = 0`` is the identity
     (stretching turned off); ``min_on`` must be finite.
     """
-    if not 0 <= min_on < float("inf"):
-        raise ValueError(f"min_on must be >= 0 and finite, got {min_on}")
-    if min_on == 0:
+    if _checked_min_on(min_on) == 0:
         return line
     ivs = line.intervals(1)
     if not ivs:
         return line
     return union_stream(((s, max(e, s + min_on)) for s, e in ivs),
                         line.duration, line.initial_level == 1)
+
+
+def _checked_min_on(min_on: float) -> float:
+    if not 0 <= min_on < float("inf"):
+        raise ValueError(f"min_on must be >= 0 and finite, got {min_on}")
+    return min_on
+
+
+def _stretched_durations(line: LogicEventStream, stretches) -> list[float]:
+    """``[apply_pulse_stretch(line, s).duration for s in stretches]``, or its error, without
+    the streams: the last ON interval ``(b, e)`` ends last, at ``max(e, b + s)``."""
+    b, e = (line.intervals(1) or [(-np.inf, 0.0)])[-1]
+    return [max(line.duration, e, b + _checked_min_on(s)) for s in stretches]
 
 
 def activity_envelope(line: LogicEventStream, window: float) -> LogicEventStream:
@@ -317,9 +328,14 @@ def activity_envelope(line: LogicEventStream, window: float) -> LogicEventStream
                         on_before_start=False)
 
 
+#: Gaussian values drawn per block, so the draw takes 512 KiB at a time;
+#: blocks from one generator hold the values of one draw.
+_NOISE_BLOCK = 1 << 16
+
+
 def add_noise(trace: OpticalTrace, noise: NoiseModel) -> OpticalTrace:
-    """Add the ambient offset and seeded Gaussian noise to a trace."""
-    return _add_draw(trace, noise, _gaussian_draw(noise, trace.n_samples))
+    """A copy of ``trace`` with the ambient offset and seeded Gaussian noise added."""
+    return _add_noise(trace, noise)
 
 
 def _gaussian_draw(noise: NoiseModel, n: int) -> np.ndarray | None:
@@ -329,13 +345,21 @@ def _gaussian_draw(noise: NoiseModel, n: int) -> np.ndarray | None:
     return None
 
 
-def _add_draw(trace: OpticalTrace, noise: NoiseModel, draw: np.ndarray | None) -> OpticalTrace:
-    """:func:`add_noise` with the head of ``draw``, a longer :func:`_gaussian_draw`."""
+def _add_noise(trace: OpticalTrace, noise: NoiseModel, draw: np.ndarray | None = None,
+               in_place: bool = False) -> OpticalTrace:
+    """:func:`add_noise`, into the samples of a trace nothing else holds if
+    ``in_place``, taking the head of ``draw``, a longer :func:`_gaussian_draw`, if given."""
     if noise.gaussian_sigma == 0 and noise.ambient_offset == 0:
         return trace
-    out = trace.samples + noise.ambient_offset
+    out = trace._release() if in_place else trace.samples.copy()
+    out += noise.ambient_offset  # also 0.0, which turns -0.0 into 0.0
     if draw is not None:
         out += draw[:out.size]
+    elif noise.gaussian_sigma > 0:
+        rng = np.random.default_rng(noise.seed)
+        for lo in range(0, out.size, _NOISE_BLOCK):
+            block = out[lo:lo + _NOISE_BLOCK]
+            block += rng.normal(0.0, noise.gaussian_sigma, size=block.size)
     return OpticalTrace._adopt(trace.sample_rate, out, trace.origin_time)
 
 
@@ -384,6 +408,11 @@ def synthesize_class(profile: DeviceProfile, data: bytes, noise: NoiseModel,
     activity envelope of that line (content destroyed, timing kept);
     Class I holds the level of its state schedule. Noise is applied last.
     """
-    lit = drive_stream(profile, data)
-    trace = led_transduce(lit, profile.led, sample_rate)
-    return add_noise(trace, noise)
+    return _synthesize(drive_stream(profile, data), profile.led, sample_rate, noise)
+
+
+def _synthesize(lit: LogicEventStream, led: LedModel, sample_rate: float, noise: NoiseModel,
+                draw: np.ndarray | None = None) -> OpticalTrace:
+    """``add_noise(led_transduce(lit, led, sample_rate), noise)``, with the
+    noise added into the fresh LED samples (see :func:`_add_noise`)."""
+    return _add_noise(led_transduce(lit, led, sample_rate), noise, draw, in_place=True)

@@ -233,10 +233,15 @@ def _grid_levels(line: LogicEventStream, origin: float, rate: float,
 
 
 def _pearson01(a: np.ndarray, b: np.ndarray) -> float:
-    if a.std() == 0 or b.std() == 0:
+    """``np.corrcoef(a, b)[0, 1]`` of 0/1 envelopes clamped to [0, 1], 0 if
+    either is flat: ``np.cov``'s steps, in one 2 x n buffer instead of its copies."""
+    if a.min() == a.max() or b.min() == b.max():
         return 0.0
-    r = float(np.corrcoef(a, b)[0, 1])
-    return min(1.0, max(0.0, r))
+    x = np.array([a, b], dtype=np.float64)
+    x -= x.mean(axis=1)[:, None]
+    c = np.dot(x, x.T) * np.true_divide(1, a.size - 1)
+    d = np.sqrt(np.diag(c))
+    return min(1.0, max(0.0, float(c[0, 1] / d[0] / d[1])))
 
 
 def classify_trace(trace: OpticalTrace, reference: bytes, cfg: SerialConfig,
@@ -300,6 +305,10 @@ def bit_error_rate(sent: bytes, recovered: bytes) -> float:
     return errors / (8 * n)
 
 
+#: Samples binned per block: beside the int8 line levels, two blocks' worth of temporaries.
+_MI_BLOCK = 1 << 16
+
+
 def leakage_mutual_information(trace: OpticalTrace, data_line: LogicEventStream,
                                bins: int = 16) -> float:
     """Plug-in mutual information between trace amplitude and the data line.
@@ -322,17 +331,19 @@ def leakage_mutual_information(trace: OpticalTrace, data_line: LogicEventStream,
     span = hi_v - lo_v
     if span <= 0:
         return 0.0
-    # bins * (x - lo_v) / span with its operations in its order, but in place,
-    # so no more than two sample-sized temporaries are alive at once.
-    scaled = x - lo_v
-    scaled *= bins
-    scaled /= span
-    xi = scaled.astype(np.int64)
-    del scaled
-    np.minimum(xi, bins - 1, out=xi)
-    xi *= 2
-    xi += _grid_levels(data_line, *grid, lo, hi)
-    joint = np.bincount(xi, minlength=bins * 2).reshape(bins, 2).astype(np.float64)
+    levels = _grid_levels(data_line, *grid, lo, hi)
+    counts = np.zeros(bins * 2, np.int64)
+    for b in range(0, x.size, _MI_BLOCK):
+        # bins * (x - lo_v) / span in its order, in place; one name frees each array.
+        xi = x[b:b + _MI_BLOCK] - lo_v
+        xi *= bins
+        xi /= span
+        xi = xi.astype(np.int64)
+        np.minimum(xi, bins - 1, out=xi)
+        xi *= 2
+        xi += levels[b:b + _MI_BLOCK]
+        counts += np.bincount(xi, minlength=bins * 2)
+    joint = counts.reshape(bins, 2).astype(np.float64)
     n = joint.sum()
     p = joint / n
     px = p.sum(axis=1, keepdims=True)

@@ -194,6 +194,11 @@ class OpticalTrace:
         every check of construction, without the copy."""
         return cls(sample_rate, samples.view(_Fresh), origin_time)
 
+    def _release(self) -> np.ndarray:
+        """The samples, writable again, for the one holder of this trace: :meth:`_adopt` undone."""
+        self.samples.setflags(write=True)
+        return self.samples
+
 
 class _Fresh(np.ndarray):
     """Marks the array :meth:`OpticalTrace._adopt` hands over uncopied."""

@@ -401,6 +401,19 @@ def leakage_mutual_information_mask(trace, data_line, bins: int = 16) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Envelope correlation of classify_trace (np.corrcoef itself)
+# ---------------------------------------------------------------------------
+
+def pearson01_corrcoef(a: np.ndarray, b: np.ndarray) -> float:
+    """``recovery._pearson01``: 0 for a flat envelope, else ``np.corrcoef``
+    clamped to [0, 1]."""
+    if a.std() == 0 or b.std() == 0:
+        return 0.0
+    r = float(np.corrcoef(a, b)[0, 1])
+    return min(1.0, max(0.0, r))
+
+
+# ---------------------------------------------------------------------------
 # Hysteresis threshold detection (one sample at a time)
 # ---------------------------------------------------------------------------
 

@@ -212,6 +212,36 @@ class TestSweep:
         assert [list(map(repr, r.values())) for r in got] == \
             [list(map(repr, r.values())) for r in want]
 
+    def test_sweep_leaves_its_inputs(self):
+        serial = SerialConfig()
+        stretch = [2 * serial.bit_time, 0.0, serial.bit_time]
+        held = list(stretch)
+        noise = NoiseModel(0.02, 0.01, 3)
+        rows = run_stretch_sweep(b"HELD", serial, stretch, 153600.0, noise)
+        assert stretch == held
+        assert rows == run_stretch_sweep(b"HELD", serial, stretch, 153600.0, noise)
+
+    def test_memory_does_not_grow_with_stretch_values(self):
+        """One row's drive stream and trace are held at a time: the working
+        peak (less the rows returned) is the same for 2 values and 200."""
+        serial = SerialConfig()
+        noise = NoiseModel(0.02, 0.0, 5)
+        peaks = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_stretch_sweep(b"warm", serial, [0.0], 153600.0, noise)
+            for count in (2, 200):
+                stretch = [(k % 10) * serial.bit_time for k in range(count)]
+                tracemalloc.start()
+                try:
+                    rows = run_stretch_sweep(bytes(range(64)), serial, stretch, 153600.0, noise)
+                    current, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert len(rows) == count
+                peaks.append(peak - current)
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
     def test_empty_list_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep-stretch", "--data", "x",
                            "--stretch-us", "")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from ledleak.diode import DiodeLink, diode_send
 from ledleak.emanation import (
     MAX_SAMPLES,
     DeviceProfile,
-    _add_draw,
     _gaussian_draw,
+    _stretched_durations,
+    _synthesize,
     DriveConfig,
     EmanationClass,
     LedModel,
@@ -411,6 +413,23 @@ class TestUnionStream:
         min_on = min_on_us * 1e-6
         assert triple(apply_pulse_stretch(line, min_on)) == pulse_stretch_loop(line, min_on)
 
+    @given(st.one_of(edge_streams(), st.binary(min_size=1, max_size=8).map(
+        lambda data: uart_encode(data, CFG).invert())),
+           st.lists(st.one_of(st.floats(0, 2e-2), st.sampled_from([0.0, BIT, 2 * BIT])),
+                    max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_stretched_durations_match_streams(self, line, stretches):
+        """The sweep sizes its draw from these durations before any row's
+        stream exists: each is that of the stream it stands for."""
+        want = [apply_pulse_stretch(line, s).duration for s in stretches]
+        assert _stretched_durations(line, stretches) == want
+
+    @pytest.mark.parametrize("min_on", [-1e-6, math.inf, math.nan])
+    def test_stretched_durations_reject_what_stretching_does(self, min_on):
+        line = uart_encode(b"\x12", CFG).invert()
+        with pytest.raises(ValueError, match="min_on must be >= 0 and finite"):
+            _stretched_durations(line, [0.0, min_on])
+
     @pytest.mark.parametrize("gap, n_intervals", [(0.5e-12, 1), (2e-12, 2)])
     def test_merge_slack_boundary(self, gap, n_intervals):
         # A gap under MERGE_SLACK is float residue and closes; one over it stays.
@@ -475,7 +494,72 @@ class TestAddNoise:
         assert add_noise(tr, noise).samples.tobytes() == want
         longer = _gaussian_draw(noise, tr.n_samples + extra)
         assert (longer is None) == (sigma == 0)
-        assert _add_draw(tr, noise, longer).samples.tobytes() == want
+        assert synthesized(tr, noise, longer).samples.tobytes() == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(samples=st.lists(st.sampled_from([0.0, -0.0, 1.0, 0.5, 1e-300]), max_size=40),
+           sigma=st.sampled_from([0.0, 0.05]), offset=st.sampled_from([0.0, -0.0, 0.25]),
+           seed=st.integers(0, 2**64 - 1), block=st.integers(1, 9))
+    def test_blocks_give_one_draw(self, samples, sigma, offset, seed, block):
+        """Noise drawn and added a block at a time, into a copy or into the
+        LED samples, gives the bytes of one draw at any block boundary."""
+        tr = OpticalTrace(1e4, np.array(samples))
+        noise = NoiseModel(sigma, offset, seed)
+        want = add_noise_samples(tr, noise).tobytes()
+        with mock.patch.object(ledleak.emanation, "_NOISE_BLOCK", block):
+            assert add_noise(tr, noise).samples.tobytes() == want
+            assert synthesized(tr, noise).samples.tobytes() == want
+
+    @pytest.mark.parametrize("sigma, offset", [(0.05, 0.0), (0.0, 0.25), (0.05, -0.25)])
+    def test_blocks_give_one_draw_at_full_size(self, sigma, offset):
+        n = 3 * ledleak.emanation._NOISE_BLOCK + 5
+        tr = OpticalTrace(1e6, np.where(np.arange(n) % 3 == 0, -0.0, 1.0))
+        noise = NoiseModel(sigma, offset, 101)
+        want = add_noise_samples(tr, noise).tobytes()
+        assert add_noise(tr, noise).samples.tobytes() == want
+        assert synthesized(tr, noise).samples.tobytes() == want
+
+    @pytest.mark.parametrize("noise", [NoiseModel(0.05, 0.0, 3), NoiseModel(0.0, 0.25, 3),
+                                       NoiseModel(0.05, 0.25, 3)])
+    def test_never_writes_a_held_array(self, noise):
+        """``add_noise`` copies the caller's trace, and a synthesis leaves
+        the shared draw it reads as it was."""
+        tr = OpticalTrace(1e4, np.linspace(0, 1, 1000))
+        before = tr.samples.copy()
+        out = add_noise(tr, noise)
+        assert np.array_equal(tr.samples, before)
+        assert not np.shares_memory(out.samples, tr.samples)
+        draw = _gaussian_draw(noise, 1500)
+        held = None if draw is None else draw.tobytes()
+        out = _synthesize(LogicEventStream(0, (0.02, 0.05), 0.1), LedModel(), 1e4, noise, draw)
+        if draw is not None:
+            assert draw.tobytes() == held and not np.shares_memory(out.samples, draw)
+        assert not out.samples.flags.writeable
+
+    def test_noise_stage_adds_no_trace_sized_array(self):
+        """The synthesis composition holds one trace and at most 1 MiB more:
+        the noise goes into the LED samples a block at a time."""
+        drive = DriveConfig(state_schedule=((0.0, 0), (0.5, 1)), state_duration=1.0)
+        prof = DeviceProfile(EmanationClass.STATE, drive=drive)
+        synthesize_class(prof, b"", NoiseModel(0.05, 0.01, 7), 10.0)  # lazy imports
+        tracemalloc.start()
+        try:
+            tr = synthesize_class(prof, b"", NoiseModel(0.05, 0.01, 7), 1e6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tr.n_samples == 1_000_000
+        assert peak <= tr.samples.nbytes + (1 << 20), peak
+
+
+def synthesized(trace: OpticalTrace, noise: NoiseModel, draw=None) -> OpticalTrace:
+    """``_synthesize`` over a fresh copy of ``trace``'s samples in place of
+    the LED's, so any samples (signed zeros too) can stand for them."""
+    def fresh(*args):
+        return OpticalTrace(trace.sample_rate, trace.samples)
+
+    with mock.patch.object(ledleak.emanation, "led_transduce", side_effect=fresh):
+        return _synthesize(None, LedModel(), trace.sample_rate, noise, draw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from ledleak.recovery import (
     DecodeResult,
     _grid_index,
     _grid_levels,
+    _pearson01,
     bit_error_rate,
     classify_trace,
     decode_auto_polarity,
@@ -38,6 +40,7 @@ from oracles import (
     ber_definition,
     leakage_mutual_information_mask,
     levels_at_sorted,
+    pearson01_corrcoef,
     threshold_detect_loop,
     trace_times,
     uart_decode_loop,
@@ -358,6 +361,27 @@ class TestClassifyTrace:
             classify_trace(tr, b"", CFG)
 
 
+class TestPearsonMatchesCorrcoef:
+    """The envelope correlation gives the float of ``np.corrcoef``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.one_of(st.integers(1, 300), st.sampled_from([65_535, 65_536, 65_537, 200_003])),
+           p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0), flips=st.floats(0.0, 0.5),
+           related=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical(self, n, p, q, flips, related, seed):
+        rng = np.random.default_rng(seed)
+        a = (rng.random(n) < p).astype(np.int8)
+        b = a ^ (rng.random(n) < flips) if related else rng.random(n) < q
+        b = b.astype(np.int8)
+        assert (np.float64(_pearson01(a, b)).tobytes()
+                == np.float64(pearson01_corrcoef(a, b)).tobytes())
+
+    def test_flat_envelopes(self):
+        ones, mixed = np.ones(70_000, np.int8), np.arange(70_000, dtype=np.int8) & 1
+        for a, b in [(ones, mixed), (mixed, ones), (ones, ones), (ones[:1], ones[:1])]:
+            assert _pearson01(a, b) == pearson01_corrcoef(a, b) == 0.0
+
+
 class TestBitErrorRate:
     def test_identical_is_zero(self):
         assert bit_error_rate(b"hello", b"hello") == 0.0
@@ -519,6 +543,36 @@ class TestMutualInformationMatchesMask:
         trace = OpticalTrace(grid.sample_rate, samples, grid.origin_time)
         assert (_value_or_error(leakage_mutual_information, trace, line, bins)
                 == _value_or_error(leakage_mutual_information_mask, trace, line, bins))
+
+    @settings(max_examples=120, deadline=None)
+    @given(grid_and_stream(), st.integers(0, 2**32 - 1), st.sampled_from([2, 16]),
+           st.integers(1, 70))
+    def test_blocks_match_mask(self, case, seed, bins, block):
+        """Any block size, so blocks split the overlap anywhere; signed
+        zeros and repeated values put samples on bin edges."""
+        grid, line = case
+        rng = np.random.default_rng(seed)
+        samples = rng.choice([0.0, -0.0, 0.5, 1.0, 1.0 / 3.0], grid.n_samples)
+        samples += rng.normal(0.0, 0.1, grid.n_samples) * (rng.random(grid.n_samples) < 0.5)
+        trace = OpticalTrace(grid.sample_rate, samples, grid.origin_time)
+        with mock.patch.object(ledleak.recovery, "_MI_BLOCK", block):
+            got = _value_or_error(leakage_mutual_information, trace, line, bins)
+        assert got == _value_or_error(leakage_mutual_information_mask, trace, line, bins)
+
+    def test_peak_at_a_million_samples(self):
+        """Binning holds the int8 line levels and two block-sized arrays:
+        at most 2 MiB beside its input at 1 M samples."""
+        rng = np.random.default_rng(5)
+        trace = OpticalTrace(1e6, rng.normal(0.0, 1.0, 1_000_000))
+        line = LogicEventStream(0, np.unique(rng.uniform(0.0, 1.0, 6000)), 1.0)
+        tracemalloc.start()
+        try:
+            mi = leakage_mutual_information(trace, line)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mi == leakage_mutual_information_mask(trace, line)
+        assert peak <= 2 << 20, peak
 
     @pytest.mark.parametrize("min_on_bits", [0, 480])
     def test_sweep_trace(self, min_on_bits):

@@ -195,6 +195,13 @@ class TestOpticalTrace:
             with pytest.raises(ValueError, match=match):
                 OpticalTrace._adopt(rate, samples)
 
+    def test_release_undoes_adopt(self):
+        arr = np.zeros(4)
+        out = OpticalTrace._adopt(10.0, arr)._release()
+        assert np.shares_memory(out, arr) and out.flags.writeable
+        out += 1.0
+        assert arr.tolist() == [1.0] * 4
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             OpticalTrace(1.0, np.array([0.0, np.nan]))
