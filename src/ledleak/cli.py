@@ -281,7 +281,7 @@ def _read_stream_arg(args: argparse.Namespace) -> mac.MiiNibbleStream:
     if not text:
         raise ConfigError("empty input: expected a frame hex dump or nibble stream")
     try:
-        if any(c.isspace() for c in text):
+        if len(text.split(None, 1)) > 1:
             return mac.stream_from_wire_octets(formats.hexline_to_octets(text))
         return mac.MiiNibbleStream.from_string(text)
     except ValueError as exc:

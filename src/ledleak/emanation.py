@@ -138,6 +138,9 @@ def uart_encode(data: bytes, cfg: SerialConfig) -> LogicEventStream:
     ``i * frame_time + k * bit_time``.
     """
     bit = cfg.bit_time
+    duration = len(data) * cfg.frame_time + bit
+    if not duration < float("inf"):
+        raise ValueError(f"{len(data)} octets at baud {cfg.baud} overflow the line's duration")
     values = np.frombuffer(bytes(data), dtype=np.uint8)
     data_cells = (values[:, None] >> np.arange(cfg.data_bits, dtype=np.uint8)) & 1
     columns = [np.zeros((values.size, 1), np.uint8), data_cells]
@@ -149,7 +152,6 @@ def uart_encode(data: bytes, cfg: SerialConfig) -> LogicEventStream:
     flips = np.flatnonzero(np.diff(cells.ravel(), prepend=np.uint8(1)))
     octet, cell = np.divmod(flips, cells.shape[1])
     edges = octet.astype(np.float64) * cfg.frame_time + cell.astype(np.float64) * bit
-    duration = len(data) * cfg.frame_time + bit
     return LogicEventStream(1, edges, duration)
 
 

@@ -197,7 +197,7 @@ def read_events(path: str | Path) -> LogicEventStream:
 
 def octets_to_hexline(octets: bytes) -> str:
     """Frame hex-dump form: lowercase hex octets, space separated."""
-    return " ".join(f"{b:02x}" for b in octets)
+    return bytes(octets).hex(" ")
 
 
 #: One octet of a hex dump: exactly two ASCII hex digits.

@@ -39,10 +39,10 @@ SFD_OCTET = 0xD5
 #: Any character but an ASCII hex digit. ``int(s, 16)`` alone would also
 #: take a sign, ``0x``, ``_``, surrounding spaces and any Unicode digit.
 _NON_HEX = re.compile(r"[^0-9a-fA-F]")
-#: ``bytes.translate`` tables between ASCII hex digits and nibble values.
-_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdefABCDEF",
-                                 bytes(range(16)) + bytes(range(10, 16)))
-_NIBBLE_TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
+#: The 16 nibble values, and ``bytes.translate`` tables between them and ASCII hex digits.
+_NIBBLES = bytes(range(16))
+_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdefABCDEF", _NIBBLES + _NIBBLES[10:])
+_NIBBLE_TO_HEX = bytes.maketrans(_NIBBLES, b"0123456789abcdef")
 
 
 def _hex_int(text: str, what: str) -> int:
@@ -149,7 +149,7 @@ class MiiNibbleStream:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nibbles", bytes(self.nibbles))
-        if self.nibbles and max(self.nibbles) > 15:
+        if self.nibbles.translate(None, _NIBBLES):
             raise ValueError("nibble values must be in [0, 15]")
 
     def __len__(self) -> int:

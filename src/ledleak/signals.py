@@ -71,6 +71,8 @@ class SerialConfig:
         if not 0 <= self.idle_between_octets < float("inf"):
             raise ConfigError(
                 f"idle_between_octets must be >= 0 and finite, got {self.idle_between_octets}")
+        if not self.frame_time < float("inf"):
+            raise ConfigError(f"baud must give a finite frame time, got {self.baud}")
 
     @property
     def bit_time(self) -> float:

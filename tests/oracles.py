@@ -61,6 +61,24 @@ def field_values(state) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# MII nibble values
+# ---------------------------------------------------------------------------
+
+def nibbles_in_range(values) -> bool:
+    """Whether every value of a nibble stream fits in 4 bits; true when empty."""
+    return not values or max(values) <= 15
+
+
+# ---------------------------------------------------------------------------
+# Frame hex dump
+# ---------------------------------------------------------------------------
+
+def octets_to_hexline_join(octets: bytes) -> str:
+    """Lowercase two-digit hex octets joined by single spaces, one f-string each."""
+    return " ".join(f"{b:02x}" for b in octets)
+
+
+# ---------------------------------------------------------------------------
 # UART cell enumeration (hand oracle)
 # ---------------------------------------------------------------------------
 

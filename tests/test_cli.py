@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from ledleak import diode, emanation
+from ledleak import diode, emanation, formats, mac
 from ledleak.cli import (
     EXIT_CONFIG,
     EXIT_NO_SIGNAL,
@@ -22,11 +22,13 @@ from ledleak.cli import (
     EXIT_ONE_WAY,
     ExperimentConfig,
     _deterministic_frames,
+    _read_stream_arg,
     build_parser,
     main,
     run_stretch_sweep,
 )
 from ledleak.emanation import MAX_SAMPLES
+from ledleak.errors import ConfigError
 from ledleak.formats import read_events, read_trace, write_trace
 from ledleak.signals import NoiseModel, OpticalTrace, SerialConfig
 
@@ -348,6 +350,37 @@ class TestMacCli:
         assert_one_error_line(err)
         assert err.startswith("error: malformed input: ")
 
+    #: Every character ``str.isspace`` accepts, and two that only look blank.
+    WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+                  + "".join(map(chr, range(0x2000, 0x200b))) + "\u2028\u2029\u202f\u205f\u3000")
+    BLANK_LOOKING = "\u200b\ufeff"
+
+    @given(st.text(alphabet=st.sampled_from("05adDg" + WHITESPACE + BLANK_LOOKING), max_size=24))
+    @example("5\x1c5")
+    @example("55\x85d5")
+    @example("55\xa0d5")
+    @example("\u20285\u2028")
+    @example("5\u30005")
+    @example("5\u200b5")
+    @example("\x1f")
+    @settings(max_examples=200, deadline=None)
+    def test_stream_form_split_like_per_character_isspace(self, text):
+        """A stream with whitespace inside is read as a hex dump, any other as
+        nibbles; the oracle is the per-character ``isspace`` generator."""
+        with mock.patch.object(formats, "hexline_to_octets", return_value=b""), \
+                mock.patch.object(mac, "stream_from_wire_octets", return_value="dump"), \
+                mock.patch.object(mac.MiiNibbleStream, "from_string", return_value="nibbles"):
+            if not text.strip():
+                with pytest.raises(ConfigError, match="^empty input"):
+                    _read_stream_arg(argparse.Namespace(stream=text))
+                return
+            form = _read_stream_arg(argparse.Namespace(stream=text))
+        assert form == ("dump" if any(c.isspace() for c in text.strip()) else "nibbles")
+
+    def test_whitespace_list_is_complete(self):
+        assert set(self.WHITESPACE) == {chr(c) for c in range(0x3001) if chr(c).isspace()}
+        assert not any(c.isspace() for c in self.BLANK_LOOKING)
+
     @pytest.mark.parametrize("stream, abort_at, message", [
         ("55", "3", "stream of 2 nibbles is too short to abort"),
         ("5" * 24, "3", "abort_at 3 outside legal range [16, 16]"),
@@ -571,6 +604,22 @@ class TestInputContract:
         assert stdout == ""
         assert_one_error_line(err)
         assert "baud" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--baud", "1e-308"],
+         "argument --baud: baud must give a finite frame time, got 1e-308"),
+        (["diode", "--baud", "1e-308"],
+         "argument --baud: baud must give a finite frame time, got 1e-308"),
+        (["synth", "--baud", "1e-306", "--data-hex", "ab" * 1024],
+         "1024 octets at baud 1e-306 overflow the line's duration"),
+    ])
+    def test_tiny_baud_is_one_error_line_naming_it(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "s"
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a warning would print a line of its own
+            code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout, err) == (EXIT_CONFIG, "", f"error: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, field", [

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -99,6 +100,14 @@ class TestUartEncode:
         # second start bit lands one frame time (incl. gap) after the first
         falls = [t for k, t in enumerate(s.edges) if k % 2 == 0]
         assert falls[1] - falls[0] == pytest.approx(10 * BIT + gap)
+
+    def test_duration_overflow_refused_before_any_vector_work(self):
+        cfg = SerialConfig(baud=1e-306)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert uart_encode(b"\xab", cfg).duration == 1.1e307
+            with pytest.raises(ValueError, match=r"^1024 octets at baud 1e-306 overflow "):
+                uart_encode(b"\xab" * 1024, cfg)
 
     @given(st.binary(min_size=0, max_size=32))
     @settings(max_examples=50, deadline=None)

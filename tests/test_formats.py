@@ -22,7 +22,7 @@ from ledleak.formats import (
     write_trace,
 )
 from ledleak.signals import LogicEventStream, OpticalTrace
-from oracles import read_events_loop, read_trace_loop
+from oracles import octets_to_hexline_join, read_events_loop, read_trace_loop
 
 
 def drop_header_key(path, key: str) -> None:
@@ -364,6 +364,13 @@ class TestHexFormats:
         assert line.startswith("00 01 02")
         assert line == line.lower()
         assert hexline_to_octets(line) == data
+
+    @given(st.binary(max_size=1600))
+    @example(b"")
+    @example(bytes(range(256)))
+    @settings(max_examples=100, deadline=None)
+    def test_hexline_matches_per_octet_join(self, octets):
+        assert octets_to_hexline(octets) == octets_to_hexline_join(octets)
 
     def test_hexline_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ledleak.errors import FrameError
@@ -29,7 +29,7 @@ from ledleak.mac import (
     verify_frame,
 )
 
-from oracles import crc32_bitserial, crc32_bitserial_le, field_values
+from oracles import crc32_bitserial, crc32_bitserial_le, field_values, nibbles_in_range
 
 DST = mac_address("aa:bb:cc:dd:ee:ff")
 SRC = mac_address("11:22:33:44:55:66")
@@ -183,6 +183,41 @@ class TestMiiMarshal:
     def test_nibble_value_validation(self):
         with pytest.raises(ValueError):
             MiiNibbleStream(bytes([16]))
+
+    @staticmethod
+    def assert_checked_like_oracle(values: bytes, kind=bytes) -> None:
+        if nibbles_in_range(values):
+            assert MiiNibbleStream(kind(values)).nibbles == values
+        else:
+            with pytest.raises(ValueError, match=re.escape("nibble values must be in [0, 15]")):
+                MiiNibbleStream(kind(values))
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview, list])
+    def test_every_byte_value_at_every_position(self, kind):
+        for value in range(256):
+            for at in range(3):
+                values = bytearray(b"\x05\x0d")
+                values.insert(at, value)
+                self.assert_checked_like_oracle(bytes(values), kind)
+            self.assert_checked_like_oracle(bytes([value]), kind)
+
+    @given(st.lists(st.integers(0, 15), max_size=200).map(bytes), st.integers(0, 255),
+           st.integers(0), st.sampled_from([bytes, bytearray, memoryview, list]))
+    @example(b"", 0, 0, bytes).via("the empty stream")
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_exactly_when_oracle_does(self, nibbles, value, at, kind):
+        at %= len(nibbles) + 1
+        self.assert_checked_like_oracle(nibbles, kind)
+        self.assert_checked_like_oracle(nibbles[:at] + bytes([value]) + nibbles[at:], kind)
+
+    @pytest.mark.parametrize("values", [[0, 256], [-1]])
+    def test_list_outside_bytes_keeps_bytes_error(self, values):
+        with pytest.raises(ValueError, match=re.escape("bytes must be in range(0, 256)")):
+            MiiNibbleStream(values)
+
+    def test_non_integer_iterable_keeps_bytes_error(self):
+        with pytest.raises(TypeError):
+            MiiNibbleStream(["5"])
 
     def test_string_round_trip(self):
         s = mii_marshal(make_frame(5))

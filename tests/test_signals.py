@@ -34,6 +34,14 @@ class TestSerialConfig:
         with pytest.raises(ConfigError):
             SerialConfig(**kwargs)
 
+    @pytest.mark.parametrize("baud", [1e-308, 5e-324, 5.5e-308])
+    def test_rejects_baud_with_infinite_frame_time(self, baud):
+        with pytest.raises(ConfigError, match=f"finite frame time, got {baud}$"):
+            SerialConfig(baud=baud)
+
+    def test_tiny_baud_with_finite_frame_time_accepted(self):
+        assert SerialConfig(baud=1e-307).frame_time == 1e308
+
 
 class TestLogicEventStream:
     def test_level_at_flips_on_edges(self):
