@@ -188,9 +188,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_trace(path: str) -> OpticalTrace:
+    """The trace at ``path``, refused if a sample lies beyond ``formats.MAX_SAMPLE_MAGNITUDE``."""
+    trace = formats.read_trace(path)
+    s, bound = trace.samples, formats.MAX_SAMPLE_MAGNITUDE
+    if s.size and (s.min() < -bound or s.max() > bound):
+        raise ValueError(f"{path}: samples must lie within [-2**495, 2**495]")
+    return trace
+
+
 def cmd_recover(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    trace = formats.read_trace(args.trace_file)
+    trace = _read_trace(args.trace_file)
     events = recovery.threshold_detect(trace, cfg.hysteresis)
     baud = recovery.estimate_baud(events) if cfg.baud == "auto" else _baud(cfg.baud)
     serial = SerialConfig(baud=baud)
@@ -201,7 +210,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    trace = formats.read_trace(args.trace_file)
+    trace = _read_trace(args.trace_file)
     serial = _serial_config(cfg)
     report = recovery.classify_trace(trace, _payload_octets(cfg), serial,
                                      window=cfg.window_ms / 1000.0,

@@ -79,7 +79,7 @@ def photodiode_receive(trace: OpticalTrace, rx: ReceiverCircuit) -> LogicEventSt
     logic = volts >= rx.logic_threshold_fraction * rx.supply_volts
     if logic.size == 0:
         return LogicEventStream(1, (), 0.0)
-    flips = np.flatnonzero(np.diff(logic.astype(np.int8)))
+    flips = np.flatnonzero(logic[1:] != logic[:-1])
     duration = logic.size / trace.sample_rate
     return LogicEventStream(int(logic[0]), (flips + 1) / trace.sample_rate, duration)
 

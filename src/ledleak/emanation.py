@@ -157,6 +157,10 @@ def uart_encode(data: bytes, cfg: SerialConfig) -> LogicEventStream:
 
 #: ``np.exp(-x)`` is exactly 0.0 for x >= 746: the smallest subnormal double is e^-744.4.
 _EXP_UNDERFLOW = 746.0
+#: ``log(4) + 1``: the settle point's margin, in time constants (see :func:`led_transduce`).
+_SETTLE_MARGIN = float(np.log(4.0) + 1.0)
+#: Vector sweeps for the segment start values before a scalar loop; a fast LED needs two.
+_SWEEPS = 8
 #: Head samples per batch of whole segments: the head temporaries stay near
 #: 64 KiB (a single long head aside) rather than growing with all the head
 #: samples of an edge-dense line or a slow LED. Under a C library other than
@@ -184,12 +188,12 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float) -> 
     samples per shortest input pulse loses pulses; that only warns.
     ``sample_rate`` must be positive and finite (``ValueError`` otherwise).
 
-    One pass over the segments between edges: a scalar recurrence gives
-    each segment's start value, every sample is filled with its segment's
-    target, and ``target + (start - target) * exp(-t / tau)`` is evaluated
-    only over each segment's head, ``t / tau < 746``. Beyond the head
-    ``exp`` underflows to exactly 0.0, so the sample is exactly ``target``
-    and the output is bit for bit that of evaluating every sample.
+    Vector sweeps over the segments between edges, then a scalar loop if
+    need be, give each segment's start value; every sample is filled with
+    its target, and ``target + (start - target) * exp(-t / tau)`` is
+    evaluated only up to each segment's settle point, past which the sum
+    rounds to exactly ``target``. The output is bit for bit that of
+    evaluating every sample of every segment in turn.
     """
     n = _sample_count(line.duration, sample_rate)
     shortest = line.shortest_pulse()
@@ -204,22 +208,34 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float) -> 
     seconds = np.diff(bounds)
     lit = (np.arange(seconds.size) + line.initial_level) % 2 == 1
     target = np.where(lit, led.on_level, led.off_level)
-    rise_decay = np.exp(-seconds / led.rise_time).tolist()
-    fall_decay = np.exp(-seconds / led.fall_time).tolist()
+    rise_decay = np.exp(-seconds / led.rise_time)
+    fall_decay = np.exp(-seconds / led.fall_time)
 
-    # Segment start values, in Python floats (IEEE doubles) so every step
-    # rounds exactly as a per-segment loop would; the LED rises whenever
-    # its target lies above the present value. The line held its initial
-    # level forever before t=0, so it starts at steady state.
-    start: list[float] = []
-    rising: list[bool] = []
-    value = led.on_level if line.initial_level else led.off_level
-    for tgt, up, down in zip(target.tolist(), rise_decay, fall_decay):
-        start.append(value)
-        rising.append(tgt > value)
-        value = tgt + (value - tgt) * (up if rising[-1] else down)
-    tau = np.where(rising, led.rise_time, led.fall_time)
-    start_minus_target = np.asarray(start) - target
+    # start[k + 1] = target + (start[k] - target) * decay, rising if the target
+    # lies above start[k]; start[0] is steady state. Sweeps step all segments
+    # from the guess start[k + 1] = target[k], rounding as the loop does: each
+    # proves the values up to its first changed bit, and one with none is done.
+    # The loop finishes from there, so a slow LED costs _SWEEPS passes more.
+    start = np.append(led.on_level if line.initial_level else led.off_level, target)
+    done = 0
+    for _ in range(_SWEEPS):
+        prev = start[:-1]
+        step = target + (prev - target) * np.where(target > prev, rise_decay, fall_decay)
+        moved = np.flatnonzero(step.view(np.int64) != start[1:].view(np.int64))
+        start[1:] = step
+        if not moved.size:
+            done = target.size
+            break
+        done = moved[0] + 1
+    value = float(start[done])
+    tail = []
+    for tgt, up, down in zip(target[done:].tolist(), rise_decay[done:].tolist(),
+                             fall_decay[done:].tolist()):
+        value = tgt + (value - tgt) * (up if tgt > value else down)
+        tail.append(value)
+    start[done + 1:] = tail
+    tau = np.where(target > start[:-1], led.rise_time, led.fall_time)
+    start_minus_target = start[:-1] - target
 
     # Samples [lo, hi) belong to a segment (empty if it is too short to own
     # one); after the last segment the trace holds its final value.
@@ -227,8 +243,13 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float) -> 
     lo = np.concatenate(([0], hi[:-1]))
     out = np.repeat(np.append(target, value), np.append(hi - lo, n - hi[-1]))
 
-    # One sample of slack past the underflow point absorbs rounding in t.
-    head_end = np.minimum(hi, np.ceil((starts_at + _EXP_UNDERFLOW * tau) * sample_rate) + 1)
+    # target + d rounds to target once |d| is below a quarter of its ulp (half
+    # the spacing below a power of two); e**-1 more absorbs exp's rounding, and
+    # one sample of slack that of t. A segment starting at its target settles.
+    with np.errstate(divide="ignore"):
+        settle = np.log(np.abs(start_minus_target)) - np.log(np.spacing(np.abs(target)))
+    settle = np.clip(settle + _SETTLE_MARGIN, 0.0, _EXP_UNDERFLOW)
+    head_end = np.minimum(hi, np.ceil((starts_at + settle * tau) * sample_rate) + 1)
     head_len = (head_end - lo).astype(np.int64)
     seg = np.flatnonzero(head_len)
     cuts = np.searchsorted(np.cumsum(head_len[seg]),

@@ -135,7 +135,10 @@ class LogicEventStream:
         return (self.initial_level ^ (k & 1)).astype(np.int8)
 
     def invert(self) -> "LogicEventStream":
-        return LogicEventStream(1 - self.initial_level, self._edge_array, self.duration)
+        """The stream with every level flipped, sharing this one's checked edges."""
+        out = object.__new__(type(self))
+        out.__dict__.update(vars(self), initial_level=1 - self.initial_level)
+        return out
 
     def intervals(self, level: int = 1) -> list[tuple[float, float]]:
         """Maximal intervals during which the stream holds ``level``."""
@@ -158,6 +161,10 @@ class LogicEventStream:
         return float(np.min(np.diff(self._edge_array)))
 
 
+#: Samples checked for finiteness at a time: the mask is 64 KiB, not one byte per sample.
+_FINITE_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True, eq=False)
 class OpticalTrace:
     """Uniformly sampled photodetector signal in normalized irradiance.
@@ -176,7 +183,8 @@ class OpticalTrace:
         arr = np.array(self.samples, dtype=np.float64, copy=type(self.samples) is not _Fresh)
         if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if arr.size and not np.all(np.isfinite(arr)):
+        if not all(np.isfinite(arr[i:i + _FINITE_BLOCK]).all()
+                   for i in range(0, arr.size, _FINITE_BLOCK)):
             raise ValueError("samples must all be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)

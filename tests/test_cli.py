@@ -914,6 +914,68 @@ class TestCliFuzz:
             assert code == expected, err
 
 
+@st.composite
+def _extreme_trace(draw) -> bytes:
+    """An optrace file of samples from the whole finite double range; half
+    the time a two-level line of 8-sample bits (9600 baud at 76.8 kHz)."""
+    rate = draw(st.sampled_from(["1.0", "76800.0", "1e6"]))
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        levels = (draw(value), draw(value))
+        bits = draw(st.lists(st.integers(0, 1), max_size=40))
+        samples = [levels[b] for b in [1] * 8 + [b for b in bits for _ in range(8)]]
+    else:
+        samples = draw(st.lists(value, max_size=60))
+    header = f"# optrace v1 sample_rate_hz={rate} origin_s=0.0\n"
+    return (header + "".join(f"{v!r}\n" for v in samples)).encode()
+
+
+def _bits_trace(rate: float, low: float, high: float) -> bytes:
+    """An optrace file alternating ``low`` and ``high`` 8 samples at a time, 20 times."""
+    body = "".join(f"{v!r}\n" for v in ([low] * 8 + [high] * 8) * 20)
+    return f"# optrace v1 sample_rate_hz={rate!r} origin_s=0.0\n{body}".encode()
+
+
+_ANALYSES = [["recover", "--baud", "9600"], ["recover", "--baud", "auto"], ["classify"]]
+
+
+class TestExtremeTraces:
+    @settings(max_examples=150, deadline=None)
+    @given(_extreme_trace(), st.sampled_from(_ANALYSES))
+    @example(_bits_trace(1.0, 0.0, 2e154), ["classify"])
+    @example(_bits_trace(76800.0, -1.5e308, -1.2e308), ["recover", "--baud", "9600"])
+    @example(_bits_trace(76800.0, -2.0 ** 495, 2.0 ** 495), ["classify"])
+    @example(_bits_trace(1e6, 0.0, 5e-324), ["recover", "--baud", "auto"])
+    def test_any_finite_samples_end_in_an_exit_code(self, body, command):
+        """Exit 0 with one JSON line, or 1 or 2 with one ``error:`` line; no
+        traceback and no ``warning:`` line, whatever the finite samples."""
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as d:
+            Path(d, "t.optrace").write_bytes(body)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("always")  # main prints each as a warning: line
+                code = main([*command, str(Path(d, "t.optrace"))])
+        if code == EXIT_OK:
+            assert err.getvalue() == "" and len(out.getvalue().splitlines()) == 1
+            json.loads(out.getvalue())
+        else:
+            assert code in (EXIT_CONFIG, EXIT_NO_SIGNAL) and out.getvalue() == ""
+            assert_one_error_line(err.getvalue())
+
+    @pytest.mark.parametrize("command", _ANALYSES)
+    def test_samples_beyond_the_bound_name_the_file(self, tmp_path, capsys, command):
+        edge = formats.MAX_SAMPLE_MAGNITUDE
+        path = tmp_path / "t.optrace"
+        path.write_bytes(_bits_trace(76800.0, -edge, edge))
+        assert run(capsys, *command, str(path))[0] == EXIT_OK
+        for low, high in [(0.0, float(np.nextafter(edge, np.inf))),
+                          (float(np.nextafter(-edge, -np.inf)), 0.0)]:
+            path.write_bytes(_bits_trace(76800.0, low, high))
+            assert run(capsys, *command, str(path)) == (
+                EXIT_CONFIG, "", f"error: {path}: samples must lie within [-2**495, 2**495]\n")
+
+
 # ---------------------------------------------------------------------------
 # One cast for flags and config files, and the flag set each subcommand takes
 # ---------------------------------------------------------------------------

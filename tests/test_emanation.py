@@ -225,6 +225,32 @@ class TestLedTransduceMatchesLoop:
         fast = led_transduce(line if active_high else line.invert(), led, sample_rate).samples
         assert fast.tobytes() == led_transduce_loop(line, led, sample_rate, active_high).tobytes()
 
+    @pytest.mark.parametrize("sweeps", [0, 3, 10**6])
+    @pytest.mark.parametrize("line, led, sample_rate", [
+        # A slow LED, decaying by about 0.9 a bit: each sweep proves about one more segment.
+        (uart_encode(np.random.default_rng(3).bytes(200), CFG),
+         LedModel(1e-3, 2e-4, 0.9, 0.1), 1e6),
+        (uart_encode(np.random.default_rng(4).bytes(200), SerialConfig(baud=115200)),
+         LedModel(), 16 * 115200.0),
+    ])
+    def test_sweeps_and_loop_each_give_the_loop(self, monkeypatch, sweeps, line, led,
+                                                 sample_rate):
+        """Start values from the scalar loop alone, from sweeps and then the
+        loop, and from sweeps alone."""
+        monkeypatch.setattr(ledleak.emanation, "_SWEEPS", sweeps)
+        fast = led_transduce(line, led, sample_rate).samples
+        assert fast.tobytes() == led_transduce_loop(line, led, sample_rate).tobytes()
+
+    @pytest.mark.parametrize("led", [LedModel(2e-8, 3e-8, 0.9, 0.1),
+                                     LedModel(1e-6, 1e-6, 0.5, 0.25),
+                                     LedModel(5e-7, 2e-6, 0.75, 5e-324)])
+    def test_settle_cut_between_the_levels(self, led):
+        """Levels off 0 and 1, powers of two among them (a narrower ulp below),
+        and a subnormal: every sample past a segment's settle point is its target."""
+        line = uart_encode(np.random.default_rng(5).bytes(64), SerialConfig(baud=115200))
+        fast = led_transduce(line, led, 1e8).samples
+        assert fast.tobytes() == led_transduce_loop(line, led, 1e8).tobytes()
+
     def test_criterion_7_emitter_digest(self, monkeypatch):
         frames = _random_frames(np.random.default_rng(7), 100, max_payload=96)
         link = DiodeLink(channel_attenuation=0.8)

@@ -1,5 +1,6 @@
 import ctypes
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledleak.errors import ConfigError
-from ledleak.signals import LogicEventStream, NoiseModel, OpticalTrace, SerialConfig
+from ledleak.signals import (
+    _FINITE_BLOCK,
+    LogicEventStream,
+    NoiseModel,
+    OpticalTrace,
+    SerialConfig,
+)
 
 from oracles import level_at, levels_at_sorted, trace_times
 from strategies import grid_and_stream
@@ -132,6 +139,21 @@ class TestLogicEventStream:
         assert s.edges == t.edges and s.edge_array.tobytes() == t.edge_array.tobytes()
         assert s.invert().invert() == s
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e3), unique=True, max_size=40).map(sorted),
+           st.integers(0, 1))
+    def test_invert_is_the_checked_stream(self, times, initial):
+        """``invert`` shares the checked edges, yet is the stream the
+        constructor builds from them."""
+        s = LogicEventStream(initial, times, 1e3)
+        inv = s.invert()
+        checked = LogicEventStream(1 - initial, times, 1e3)
+        assert type(inv) is LogicEventStream and vars(inv).keys() == vars(checked).keys()
+        assert inv == checked and hash(inv) == hash(checked)
+        assert inv.edge_array is s.edge_array and inv.edges is s.edges
+        assert not inv.edge_array.flags.writeable
+        assert inv.invert() == s and s.initial_level == initial
+
     @pytest.mark.parametrize("edges", [1.0, np.float64(1.0), [[1.0, 2.0]], np.zeros((2, 0))])
     def test_edges_must_be_one_dimensional(self, edges):
         with pytest.raises(ValueError, match="one-dimensional"):
@@ -215,6 +237,24 @@ class TestOpticalTrace:
             OpticalTrace(1.0, np.array([0.0, np.nan]))
         with pytest.raises(ValueError):
             OpticalTrace(0.0, np.zeros(3))
+
+    @pytest.mark.parametrize("at", [0, _FINITE_BLOCK - 1, _FINITE_BLOCK, 2 * _FINITE_BLOCK + 6])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_found_in_any_block(self, at, bad):
+        samples = np.zeros(2 * _FINITE_BLOCK + 7)
+        samples[at] = bad
+        with pytest.raises(ValueError, match="finite"):
+            OpticalTrace._adopt(1.0, samples)
+
+    def test_finiteness_check_needs_no_sample_sized_mask(self):
+        samples = np.zeros(1 << 20)
+        tracemalloc.start()
+        try:
+            OpticalTrace._adopt(1.0, samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18
 
 
 class TestNoiseModel:
