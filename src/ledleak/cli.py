@@ -189,11 +189,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _read_trace(path: str) -> OpticalTrace:
-    """The trace at ``path``, refused if a sample lies beyond ``formats.MAX_SAMPLE_MAGNITUDE``."""
+    """The trace at ``path``; a sample beyond ``±2**formats.MAX_SAMPLE_EXPONENT`` is refused."""
     trace = formats.read_trace(path)
-    s, bound = trace.samples, formats.MAX_SAMPLE_MAGNITUDE
-    if s.size and (s.min() < -bound or s.max() > bound):
-        raise ValueError(f"{path}: samples must lie within [-2**495, 2**495]")
+    s, e = trace.samples, formats.MAX_SAMPLE_EXPONENT
+    if s.size and (s.min() < -2.0 ** e or s.max() > 2.0 ** e):
+        raise ValueError(f"{path}: samples must lie within [-2**{e}, 2**{e}]")
     return trace
 
 

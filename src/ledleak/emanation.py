@@ -159,8 +159,9 @@ def uart_encode(data: bytes, cfg: SerialConfig) -> LogicEventStream:
 _EXP_UNDERFLOW = 746.0
 #: ``log(4) + 1``: the settle point's margin, in time constants (see :func:`led_transduce`).
 _SETTLE_MARGIN = float(np.log(4.0) + 1.0)
-#: Vector sweeps for the segment start values before a scalar loop; a fast LED needs two.
-_SWEEPS = 8
+#: Vector sweeps for the segment start values before a scalar loop: the default
+#: LED converges in two, a slow one proves about one segment a sweep.
+_SWEEPS = 3
 #: Head samples per batch of whole segments: the head temporaries stay near
 #: 64 KiB (a single long head aside) rather than growing with all the head
 #: samples of an edge-dense line or a slow LED. Under a C library other than
@@ -207,13 +208,13 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float) -> 
     starts_at = bounds[:-1]
     seconds = np.diff(bounds)
     lit = (np.arange(seconds.size) + line.initial_level) % 2 == 1
-    target = np.where(lit, led.on_level, led.off_level)
+    target = np.where(lit, float(led.on_level), float(led.off_level))
     rise_decay = np.exp(-seconds / led.rise_time)
     fall_decay = np.exp(-seconds / led.fall_time)
 
     # start[k + 1] = target + (start[k] - target) * decay, rising if the target
     # lies above start[k]; start[0] is steady state. Sweeps step all segments
-    # from the guess start[k + 1] = target[k], rounding as the loop does: each
+    # from the guess start[k + 1] = target[k], in doubles as the loop is: each
     # proves the values up to its first changed bit, and one with none is done.
     # The loop finishes from there, so a slow LED costs _SWEEPS passes more.
     start = np.append(led.on_level if line.initial_level else led.off_level, target)

@@ -12,7 +12,7 @@ CR. Any other line (two numbers, a comment, hex, a non-ASCII digit, bytes
 that are not UTF-8) is a :class:`ValueError` naming the file, the 1-based
 line number and the line. Non-finite samples then fail the value checks.
 Any finite sample round-trips, but ``recover`` and ``classify`` refuse,
-naming the file, a sample beyond :data:`MAX_SAMPLE_MAGNITUDE`.
+naming the file, a sample beyond ±2**495 (:data:`MAX_SAMPLE_EXPONENT`).
 A bad header is an error naming the file; a header value outside the same
 grammar names its key and the value. The header is checked before the body.
 """
@@ -33,9 +33,9 @@ from .signals import LogicEventStream, OpticalTrace
 
 TRACE_MAGIC = "# optrace v1"
 EVENTS_MAGIC = "# optevents v1"
-#: Largest trace sample magnitude analysed, 2**495 (about 1.02e149): the squared
+#: Samples analysed lie within ±2**MAX_SAMPLE_EXPONENT (about 1.02e149): the squared
 #: deviations (< 2**992) of 2**27 samples, the cap, sum below 2**1019, finite.
-MAX_SAMPLE_MAGNITUDE = 2.0 ** 495
+MAX_SAMPLE_EXPONENT = 495
 
 
 def _umask() -> int:

@@ -944,7 +944,8 @@ class TestExtremeTraces:
     @given(_extreme_trace(), st.sampled_from(_ANALYSES))
     @example(_bits_trace(1.0, 0.0, 2e154), ["classify"])
     @example(_bits_trace(76800.0, -1.5e308, -1.2e308), ["recover", "--baud", "9600"])
-    @example(_bits_trace(76800.0, -2.0 ** 495, 2.0 ** 495), ["classify"])
+    @example(_bits_trace(76800.0, -2.0 ** formats.MAX_SAMPLE_EXPONENT,
+                         2.0 ** formats.MAX_SAMPLE_EXPONENT), ["classify"])
     @example(_bits_trace(1e6, 0.0, 5e-324), ["recover", "--baud", "auto"])
     def test_any_finite_samples_end_in_an_exit_code(self, body, command):
         """Exit 0 with one JSON line, or 1 or 2 with one ``error:`` line; no
@@ -965,7 +966,8 @@ class TestExtremeTraces:
 
     @pytest.mark.parametrize("command", _ANALYSES)
     def test_samples_beyond_the_bound_name_the_file(self, tmp_path, capsys, command):
-        edge = formats.MAX_SAMPLE_MAGNITUDE
+        e = formats.MAX_SAMPLE_EXPONENT
+        edge = 2.0 ** e
         path = tmp_path / "t.optrace"
         path.write_bytes(_bits_trace(76800.0, -edge, edge))
         assert run(capsys, *command, str(path))[0] == EXIT_OK
@@ -973,7 +975,7 @@ class TestExtremeTraces:
                           (float(np.nextafter(-edge, -np.inf)), 0.0)]:
             path.write_bytes(_bits_trace(76800.0, low, high))
             assert run(capsys, *command, str(path)) == (
-                EXIT_CONFIG, "", f"error: {path}: samples must lie within [-2**495, 2**495]\n")
+                EXIT_CONFIG, "", f"error: {path}: samples must lie within [-2**{e}, 2**{e}]\n")
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,10 @@ class TestLedTransduceMatchesLoop:
          LedModel(1e-3, 2e-4, 0.9, 0.1), 1e6),
         (uart_encode(np.random.default_rng(4).bytes(200), SerialConfig(baud=115200)),
          LedModel(), 16 * 115200.0),
+        # Integer levels: the start values must still be doubles.
+        (uart_encode(np.random.default_rng(3).bytes(200), CFG), LedModel(1e-3, 2e-4, 1, 0), 1e6),
+        (uart_encode(np.random.default_rng(4).bytes(200), SerialConfig(baud=115200)),
+         LedModel(2e-6, 1e-6, 1, 0), 16 * 115200.0),
     ])
     def test_sweeps_and_loop_each_give_the_loop(self, monkeypatch, sweeps, line, led,
                                                  sample_rate):
@@ -243,10 +247,12 @@ class TestLedTransduceMatchesLoop:
 
     @pytest.mark.parametrize("led", [LedModel(2e-8, 3e-8, 0.9, 0.1),
                                      LedModel(1e-6, 1e-6, 0.5, 0.25),
-                                     LedModel(5e-7, 2e-6, 0.75, 5e-324)])
+                                     LedModel(5e-7, 2e-6, 0.75, 5e-324),
+                                     LedModel(5e-7, 2e-6, np.float32(0.9), np.float32(0.1))])
     def test_settle_cut_between_the_levels(self, led):
         """Levels off 0 and 1, powers of two among them (a narrower ulp below),
-        and a subnormal: every sample past a segment's settle point is its target."""
+        a subnormal, and float32 levels: every sample past a segment's settle
+        point is its target."""
         line = uart_encode(np.random.default_rng(5).bytes(64), SerialConfig(baud=115200))
         fast = led_transduce(line, led, 1e8).samples
         assert fast.tobytes() == led_transduce_loop(line, led, 1e8).tobytes()
