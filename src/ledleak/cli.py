@@ -224,9 +224,10 @@ def run_stretch_sweep(data: bytes, serial: SerialConfig, stretch_seconds: list[f
     """One row per stretch value, in increasing order: recovered BER and leaked MI.
 
     Rows get the traces of ``emanation.synthesize_class``, but share one
-    noise draw, sized for the longest once all pass the sample cap: a seeded
-    draw's first values are the same whatever its size. Each row builds its
-    drive stream and trace when it runs, so one row's are held at a time.
+    noise draw: a seeded draw's first values are the same whatever its size.
+    The last row's stream, the longest, is built first to size the draw (so
+    the sample cap is met before any row runs); each other row builds its
+    stream and trace when it runs, so one row's trace is held at a time.
     """
     led = emanation.LedModel()
     drive = emanation.DriveConfig(serial=serial)
@@ -234,14 +235,15 @@ def run_stretch_sweep(data: bytes, serial: SerialConfig, stretch_seconds: list[f
         emanation.DeviceProfile(emanation.EmanationClass.CONTENT, led, drive), data)
     line = base.invert()
     stretches = sorted(stretch_seconds)
-    longest = max((emanation._sample_count(duration, sample_rate)
-                   for duration in emanation._stretched_durations(base, stretches)), default=0)
-    draw = emanation._gaussian_draw(noise, longest)
+    if not stretches:
+        return []
+    last = emanation.apply_pulse_stretch(base, stretches[-1])
+    draw = emanation._gaussian_draw(noise, emanation._sample_count(last.duration, sample_rate))
     rows = []
-    for min_on in stretches:
-        lit = emanation.apply_pulse_stretch(base, min_on)
+    for i, min_on in enumerate(stretches):
+        lit = last if i == len(stretches) - 1 else emanation.apply_pulse_stretch(base, min_on)
         trace = emanation._synthesize(lit, led, sample_rate, noise, draw)
-        del lit  # so one row's stream is held at a time
+        del lit  # so no other row's stream is held beside the last's
         try:
             recovered = recovery.recover_data(trace, serial).octets
         except NoSignalError:
@@ -346,11 +348,7 @@ def cmd_diode(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     serial = SerialConfig(baud=_baud(cfg.baud))
     link_type = diode.WiredBackLink if args.wired_back else diode.DiodeLink
-    link = link_type(
-        channel_attenuation=cfg.attenuation,
-        sample_rate=16 * serial.baud,
-        serial_cfg=serial,
-    )
+    link = link_type(channel_attenuation=cfg.attenuation, serial_cfg=serial)
     frames = _deterministic_frames(cfg.frames, cfg.seed)
     noise = NoiseModel(cfg.sigma, cfg.offset, cfg.seed)
 

@@ -117,7 +117,8 @@ def contention_check(rx: ReceiverCircuit, driver_high: bool, illuminated: bool,
 class DiodeLink:
     """Composed emitter, optical channel and receiver circuit.
 
-    Emitter parameters (``tx_led``, ``serial_cfg``, ``sample_rate``) are
+    The link samples its light at :attr:`sample_rate`, 16 samples per bit
+    of ``serial_cfg``. Emitter parameters (``tx_led``, ``serial_cfg``) are
     never readable or writable through receive-side operations; the
     receive side only ever sees the photodiode node. :meth:`back_channel`
     returns ``None`` here; it exists so the wired-back negative control can
@@ -127,7 +128,6 @@ class DiodeLink:
     tx_led: LedModel = LedModel()
     channel_attenuation: float = 1.0
     rx: ReceiverCircuit = ReceiverCircuit()
-    sample_rate: float = 16 * 115200.0
     serial_cfg: SerialConfig = SerialConfig(baud=115200.0)
 
     def __post_init__(self) -> None:
@@ -136,6 +136,10 @@ class DiodeLink:
                 f"channel_attenuation must be in [0, 1], got {self.channel_attenuation}")
         if not 0 < self.sample_rate < float("inf"):
             raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
+
+    @property
+    def sample_rate(self) -> float:
+        return 16 * self.serial_cfg.baud
 
     def back_channel(self) -> Callable[[ReceiverPort], float] | None:
         """The coupling from receive side to emitter for one run: none."""

@@ -62,6 +62,7 @@ class LedModel:
     ``on_level`` and ``off_level``. Garden-variety indicator LEDs follow
     their drive well into the nanosecond range, so the defaults are fast
     enough to reproduce sub-microsecond pulses essentially unattenuated.
+    The levels are stored as Python floats (doubles), ``-0.0`` as ``0.0``.
     """
 
     rise_time: float = 2e-8
@@ -70,6 +71,8 @@ class LedModel:
     off_level: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "on_level", float(self.on_level))
+        object.__setattr__(self, "off_level", float(self.off_level) + 0.0)
         if not self.rise_time > 0 or not self.fall_time > 0:
             raise ValueError("rise_time and fall_time must be positive")
         if not 0 <= self.off_level < self.on_level <= 1:
@@ -208,21 +211,21 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float) -> 
     starts_at = bounds[:-1]
     seconds = np.diff(bounds)
     lit = (np.arange(seconds.size) + line.initial_level) % 2 == 1
-    target = np.where(lit, float(led.on_level), float(led.off_level))
+    target = np.where(lit, led.on_level, led.off_level)
     rise_decay = np.exp(-seconds / led.rise_time)
     fall_decay = np.exp(-seconds / led.fall_time)
 
     # start[k + 1] = target + (start[k] - target) * decay, rising if the target
     # lies above start[k]; start[0] is steady state. Sweeps step all segments
     # from the guess start[k + 1] = target[k], in doubles as the loop is: each
-    # proves the values up to its first changed bit, and one with none is done.
+    # proves the values up to the first it changes, and one changing none is done.
     # The loop finishes from there, so a slow LED costs _SWEEPS passes more.
     start = np.append(led.on_level if line.initial_level else led.off_level, target)
     done = 0
     for _ in range(_SWEEPS):
         prev = start[:-1]
         step = target + (prev - target) * np.where(target > prev, rise_decay, fall_decay)
-        moved = np.flatnonzero(step.view(np.int64) != start[1:].view(np.int64))
+        moved = np.flatnonzero(step != start[1:])
         start[1:] = step
         if not moved.size:
             done = target.size
@@ -316,26 +319,15 @@ def apply_pulse_stretch(line: LogicEventStream, min_on: float) -> LogicEventStre
     eyes while destroying bit-level content. ``min_on = 0`` is the identity
     (stretching turned off); ``min_on`` must be finite.
     """
-    if _checked_min_on(min_on) == 0:
+    if not 0 <= min_on < float("inf"):
+        raise ValueError(f"min_on must be >= 0 and finite, got {min_on}")
+    if min_on == 0:
         return line
     ivs = line.intervals(1)
     if not ivs:
         return line
     return union_stream(((s, max(e, s + min_on)) for s, e in ivs),
                         line.duration, line.initial_level == 1)
-
-
-def _checked_min_on(min_on: float) -> float:
-    if not 0 <= min_on < float("inf"):
-        raise ValueError(f"min_on must be >= 0 and finite, got {min_on}")
-    return min_on
-
-
-def _stretched_durations(line: LogicEventStream, stretches) -> list[float]:
-    """``[apply_pulse_stretch(line, s).duration for s in stretches]``, or its error, without
-    the streams: the last ON interval ``(b, e)`` ends last, at ``max(e, b + s)``."""
-    b, e = (line.intervals(1) or [(-np.inf, 0.0)])[-1]
-    return [max(line.duration, e, b + _checked_min_on(s)) for s in stretches]
 
 
 def activity_envelope(line: LogicEventStream, window: float) -> LogicEventStream:

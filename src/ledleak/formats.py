@@ -10,11 +10,11 @@ it but without underscores, with whitespace around it; blank and
 whitespace-only lines are skipped, and lines may end in LF, CRLF or a bare
 CR. Any other line (two numbers, a comment, hex, a non-ASCII digit, bytes
 that are not UTF-8) is a :class:`ValueError` naming the file, the 1-based
-line number and the line. Non-finite samples then fail the value checks.
-Any finite sample round-trips, but ``recover`` and ``classify`` refuse,
-naming the file, a sample beyond ±2**495 (:data:`MAX_SAMPLE_EXPONENT`).
-A bad header is an error naming the file; a header value outside the same
-grammar names its key and the value. The header is checked before the body.
+line number and the line. A value the trace or stream then refuses, such
+as a non-finite sample or ``origin_s``, names the file. Any finite sample
+round-trips, but ``recover`` and ``classify`` refuse, naming the file, a
+sample beyond ±2**495 (:data:`MAX_SAMPLE_EXPONENT`). The header is checked
+first: a bad one names the file, a value off the grammar its key and value.
 """
 
 from __future__ import annotations
@@ -185,7 +185,10 @@ def _read_samples(path: str | Path, magic: str) -> tuple[dict[str, float | int],
 
 def read_trace(path: str | Path) -> OpticalTrace:
     header, samples = _read_samples(path, TRACE_MAGIC)
-    return OpticalTrace._adopt(header["sample_rate_hz"], samples, header["origin_s"])
+    try:
+        return OpticalTrace._adopt(header["sample_rate_hz"], samples, header["origin_s"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_events(path: str | Path, events: LogicEventStream) -> None:
@@ -197,7 +200,10 @@ def write_events(path: str | Path, events: LogicEventStream) -> None:
 
 def read_events(path: str | Path) -> LogicEventStream:
     header, edges = _read_samples(path, EVENTS_MAGIC)
-    return LogicEventStream(header["initial"], edges, header["duration_s"])
+    try:
+        return LogicEventStream(header["initial"], edges, header["duration_s"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def octets_to_hexline(octets: bytes) -> str:

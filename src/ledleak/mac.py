@@ -134,8 +134,6 @@ def build_frame(dst: bytes | str, src: bytes | str, ethertype: bytes | int | str
     src = mac_address(src)
     ethertype = ethertype_bytes(ethertype)
     payload = bytes(payload)
-    if len(payload) > MAX_PAYLOAD:
-        raise FrameError(f"payload {len(payload)} exceeds {MAX_PAYLOAD} octets")
     pad = bytes(max(0, MIN_PAYLOAD - len(payload)))
     fcs = crc32_fcs(dst + src + ethertype + payload + pad)
     return EthernetFrame(dst, src, ethertype, payload, pad, fcs)

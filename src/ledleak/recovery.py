@@ -162,20 +162,21 @@ def uart_decode(events: LogicEventStream, cfg: SerialConfig) -> DecodeResult:
         lo = i
         ts = falls[lo:lo + block]
         hi = lo + ts.size
-        samples = ts[:, None] + offsets
-        levels = events.levels_at(samples)
+        start = ts + offsets[0]
+        glitch = events.levels_at(start) != 0
         # Successor of each candidate: the first fall at or after its start
         # sample if a glitch, else its last stop sample, less slack; never
         # the candidate itself.
-        resume = np.where(levels[:, 0] != 0, samples[:, 0], samples[:, -1])
+        resume = np.where(glitch, start, ts + offsets[-1])
         nxt = np.maximum(np.searchsorted(falls, resume - slack, side="left"),
                          np.arange(lo + 1, hi + 1)).tolist()
         visited = []
         while i < hi:
             visited.append(i - lo)
             i = nxt[i - lo]
-        frames = levels[visited]
-        frames = frames[frames[:, 0] == 0]
+        # Whole frames are read only where the walk went, glitches aside.
+        starts = ts[visited][~glitch[visited]]
+        frames = events.levels_at(starts[:, None] + offsets)
         good = frames[:, 1 + db + has_parity:].all(axis=1)
         framing += int(good.size - np.count_nonzero(good))
         data = frames[good, 1:1 + db]
@@ -275,12 +276,8 @@ def classify_trace(trace: OpticalTrace, reference: bytes, cfg: SerialConfig,
     grid = (0.0, trace.sample_rate, 0, trace.n_samples)
     score_activity = _pearson01(_grid_levels(trace_env, *grid), _grid_levels(ref_env, *grid))
 
-    s = trace.samples
-    span = float(s.max() - s.min())
-    if span < _FLAT_RANGE:
-        score_state = 1.0
-    else:
-        score_state = 1.0 - min(1.0, 4.0 * float(s.var()) / span**2)
+    s = trace.samples  # not flat: threshold_detect refuses a flat trace
+    score_state = 1.0 - min(1.0, 4.0 * float(s.var()) / float(s.max() - s.min())**2)
 
     assigned = EmanationClass.CONTENT
     best = score_content

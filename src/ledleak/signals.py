@@ -180,6 +180,8 @@ class OpticalTrace:
     def __post_init__(self) -> None:
         if not 0 < self.sample_rate < float("inf"):
             raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
+        if not abs(self.origin_time) < float("inf"):
+            raise ValueError(f"origin_time must be finite, got {self.origin_time}")
         arr = np.array(self.samples, dtype=np.float64, copy=type(self.samples) is not _Fresh)
         if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from ledleak import diode, emanation, formats, mac
+from ledleak import cli, diode, emanation, formats, mac
 from ledleak.cli import (
     EXIT_CONFIG,
     EXIT_NO_SIGNAL,
@@ -125,6 +125,20 @@ class TestSynthRecover:
         code, _, err = run(capsys, "recover", str(path), "--baud", "9600")
         assert code == EXIT_CONFIG
         assert_one_error_line(err)
+
+    @pytest.mark.parametrize("command", ["recover", "classify"])
+    @pytest.mark.parametrize("header, body, message", [
+        ("sample_rate_hz=10000.0 origin_s=inf", "0.0\n1.0\n", "origin_time must be finite, got inf"),
+        ("sample_rate_hz=10000.0 origin_s=nan", "0.0\n1.0\n", "origin_time must be finite, got nan"),
+        ("sample_rate_hz=0 origin_s=0.0", "0.0\n1.0\n",
+         "sample_rate must be positive and finite, got 0.0"),
+        ("sample_rate_hz=10000.0 origin_s=0.0", "0.0\nnan\n", "samples must all be finite"),
+    ])
+    def test_trace_value_error_names_the_file(self, tmp_path, capsys, command, header, body,
+                                              message):
+        path = tmp_path / "t.optrace"
+        path.write_text(f"# optrace v1 {header}\n{body}")
+        assert run(capsys, command, str(path)) == (EXIT_CONFIG, "", f"error: {path}: {message}\n")
 
     def test_unreadable_file_exits_config(self, tmp_path, capsys):
         code, _, _ = run(capsys, "recover", str(tmp_path / "missing.optrace"),
@@ -249,6 +263,30 @@ class TestSweep:
                            "--stretch-us", "")
         assert code == EXIT_CONFIG
         assert "stretch" in err
+
+    def test_flat_row_scores_full_error(self, tmp_path, capsys):
+        """A 1 kHz trace of one 9600-baud octet: the unstretched row's trace
+        is flat, so nothing is recovered; the other row sizes the draw."""
+        code, stdout, err = run(capsys, "sweep-stretch", "--data", "A", "--stretch-us", "100,0",
+                                "--sample-rate", "1000", "--sigma", "0.02", "--seed", "3",
+                                "--out", str(tmp_path / "s"))
+        assert (code, stdout) == (EXIT_OK, f"{tmp_path / 's' / 'sweep_stretch.csv'}\n")
+        assert (tmp_path / "s" / "sweep_stretch.csv").read_text() == (
+            "min_on_s,ber,mi_bits\n0.0,1.0,0.0\n9.999999999999999e-05,1.0,0.0\n")
+        assert err == ("warning: sample_rate 1000 Hz is below 4x the shortest pulse "
+                       "(0.000104167 s); short pulses may be missed\n")
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(0.0, 0.5, 0.1), (1e-4, 0.4, 0.0)], "BER is not non-decreasing in min_on"),
+        ([(0.0, 0.0, 0.5), (1e-4, 0.0, 0.6)], "MI is not non-increasing in min_on"),
+    ])
+    def test_non_monotone_rows_exit_config(self, tmp_path, capsys, monkeypatch, rows, message):
+        monkeypatch.setattr(cli, "run_stretch_sweep", lambda *args: [
+            {"min_on_s": s, "ber": b, "mi_bits": m} for s, b, m in rows])
+        code, stdout, err = run(capsys, "sweep-stretch", "--stretch-us", "0,100",
+                                "--out", str(tmp_path / "s"))
+        assert (code, stdout) == (EXIT_CONFIG, f"{tmp_path / 's' / 'sweep_stretch.csv'}\n")
+        assert err == f"error: {message}\n"
 
     def test_sweep_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -421,8 +459,7 @@ class TestDiodeCli:
         code, _, err = run(capsys, "diode", "--frames", "3", "--seed", "4",
                            "--wired-back", "--out", str(tmp_path / "d"))
         serial = SerialConfig(baud=9600.0)
-        link = diode.WiredBackLink(channel_attenuation=0.8, sample_rate=16 * serial.baud,
-                                   serial_cfg=serial)
+        link = diode.WiredBackLink(channel_attenuation=0.8, serial_cfg=serial)
         frames, noise = _deterministic_frames(3, 4), NoiseModel(0.0, 0.0, 4)
         base, _ = diode.diode_send(frames, link, noise)
         adv, _ = diode.diode_send(frames, link, noise, rx_program=diode.flood_receive_buffers)

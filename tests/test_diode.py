@@ -98,6 +98,12 @@ class TestPhotodiodeReceive:
             ReceiverCircuit(pullup_ohms=0)
         with pytest.raises(ValueError):
             ReceiverCircuit(logic_threshold_fraction=1.0)
+        with pytest.raises(ValueError, match="^photocurrent_on must be positive$"):
+            ReceiverCircuit(photocurrent_on=0)
+
+    def test_empty_trace_reads_an_empty_idle_stream(self):
+        out = photodiode_receive(OpticalTrace(1e6, np.zeros(0)), ReceiverCircuit())
+        assert (out.initial_level, out.edges, out.duration) == (1, (), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +181,12 @@ class TestDiodeSend:
         report, _ = diode_send(frames, weak, NOISE)
         assert report.frames_accepted == 0
 
-    @pytest.mark.parametrize("sample_rate", [0.0, -1.0, float("inf"), float("nan")])
-    def test_link_rejects_bad_sample_rate(self, sample_rate):
-        with pytest.raises(ValueError, match="sample_rate"):
-            DiodeLink(sample_rate=sample_rate)
+    def test_link_rejects_a_rate_that_overflows(self):
+        with pytest.raises(ValueError, match="^sample_rate must be positive and finite, got inf$"):
+            DiodeLink(serial_cfg=SerialConfig(baud=1e308))
+
+    def test_link_samples_each_bit_16_times(self):
+        assert DiodeLink(serial_cfg=SerialConfig(baud=9600.0)).sample_rate == 16 * 9600.0
 
     def test_report_invariant(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from ledleak.emanation import (
     MAX_SAMPLES,
     DeviceProfile,
     _gaussian_draw,
-    _stretched_durations,
     _synthesize,
     DriveConfig,
     EmanationClass,
@@ -257,6 +256,17 @@ class TestLedTransduceMatchesLoop:
         fast = led_transduce(line, led, 1e8).samples
         assert fast.tobytes() == led_transduce_loop(line, led, 1e8).tobytes()
 
+    def test_negative_zero_off_level_gives_the_loop(self):
+        """The model stores its levels as doubles, -0.0 as 0.0, so settled
+        samples carry the sign bits that evaluating every sample gives."""
+        led = LedModel(off_level=-0.0, on_level=np.float32(0.5))
+        assert (type(led.off_level), math.copysign(1.0, led.off_level)) == (float, 1.0)
+        assert type(led.on_level) is float
+        line = uart_encode(b"\x12\x34", SerialConfig())
+        fast = led_transduce(line, led, 1e6).samples
+        assert fast.tobytes() == led_transduce_loop(line, led, 1e6).tobytes()
+        assert fast.tobytes() == led_transduce(line, LedModel(on_level=0.5), 1e6).samples.tobytes()
+
     def test_criterion_7_emitter_digest(self, monkeypatch):
         frames = _random_frames(np.random.default_rng(7), 100, max_payload=96)
         link = DiodeLink(channel_attenuation=0.8)
@@ -453,23 +463,6 @@ class TestUnionStream:
         line = LogicEventStream(initial, tuple(k * 1e-6 for k in ticks), (ticks[-1] + tail) * 1e-6)
         min_on = min_on_us * 1e-6
         assert triple(apply_pulse_stretch(line, min_on)) == pulse_stretch_loop(line, min_on)
-
-    @given(st.one_of(edge_streams(), st.binary(min_size=1, max_size=8).map(
-        lambda data: uart_encode(data, CFG).invert())),
-           st.lists(st.one_of(st.floats(0, 2e-2), st.sampled_from([0.0, BIT, 2 * BIT])),
-                    max_size=6))
-    @settings(max_examples=300, deadline=None)
-    def test_stretched_durations_match_streams(self, line, stretches):
-        """The sweep sizes its draw from these durations before any row's
-        stream exists: each is that of the stream it stands for."""
-        want = [apply_pulse_stretch(line, s).duration for s in stretches]
-        assert _stretched_durations(line, stretches) == want
-
-    @pytest.mark.parametrize("min_on", [-1e-6, math.inf, math.nan])
-    def test_stretched_durations_reject_what_stretching_does(self, min_on):
-        line = uart_encode(b"\x12", CFG).invert()
-        with pytest.raises(ValueError, match="min_on must be >= 0 and finite"):
-            _stretched_durations(line, [0.0, min_on])
 
     @pytest.mark.parametrize("gap, n_intervals", [(0.5e-12, 1), (2e-12, 2)])
     def test_merge_slack_boundary(self, gap, n_intervals):
@@ -680,6 +673,23 @@ class TestSynthesizeClass:
     def test_drive_config_rejects_non_finite(self, kwargs, field):
         with pytest.raises(ConfigError, match=field):
             DriveConfig(serial=CFG, **kwargs)
+
+    @pytest.mark.parametrize("schedule, message", [
+        ((), "state_schedule must not be empty"),
+        (((-1.0, 1),), "state_schedule times must be increasing and >= 0"),
+        (((0.0, 1), (0.0, 0)), "state_schedule times must be increasing and >= 0"),
+        (((0.0, 2),), "state_schedule levels must be 0 or 1"),
+        (((0.0, 1), (0.1, 0)), "state_duration must extend past the last schedule entry"),
+    ])
+    def test_drive_config_rejects_bad_schedule(self, schedule, message):
+        # The default state_duration, 0.1 s, ends at the last entry of the last case.
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            DriveConfig(state_schedule=schedule)
+
+    def test_class_ii_requires_serial(self):
+        prof = DeviceProfile(EmanationClass.ACTIVITY, drive=DriveConfig(serial=None))
+        with pytest.raises(ConfigError, match="^Class II synthesis requires a serial configuration$"):
+            drive_stream(prof, b"x")
 
     def test_led_model_validation(self):
         with pytest.raises(ValueError):

@@ -144,6 +144,17 @@ class TestHeaderErrors:
          "not a '# optevents v1' file"),
         (read_trace, "# optrace v1 origin_s=0.0", "'# optrace v1' header lacks sample_rate_hz="),
         (read_events, "# optevents v1 initial=0", "'# optevents v1' header lacks duration_s="),
+        # Values that parse but that the trace or stream refuses.
+        (read_trace, "# optrace v1 sample_rate_hz=0 origin_s=0.0",
+         "sample_rate must be positive and finite, got 0.0"),
+        (read_trace, "# optrace v1 sample_rate_hz=1000.0 origin_s=inf",
+         "origin_time must be finite, got inf"),
+        (read_trace, "# optrace v1 sample_rate_hz=1000.0 origin_s=nan",
+         "origin_time must be finite, got nan"),
+        (read_events, "# optevents v1 initial=2 duration_s=1.0",
+         "initial_level must be 0 or 1, got 2"),
+        (read_events, "# optevents v1 initial=0 duration_s=inf",
+         "duration must be >= 0 and finite, got inf"),
     ])
     def test_names_file_and_key(self, tmp_path, reader, header, message):
         path = tmp_path / "f.txt"

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import re
 
 import numpy as np
@@ -102,8 +103,22 @@ class TestBuildFrame:
         assert len(f.pad) == 45
 
     def test_oversize_payload_rejected(self):
-        with pytest.raises(FrameError):
+        # The frame's own check: build_frame keeps no copy of it.
+        with pytest.raises(FrameError, match="^payload 1501 exceeds 1500 octets$"):
             build_frame(DST, SRC, 0x0800, bytes(1501))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("dst", bytes(5), "dst and src must each be 6 octets"),
+        ("src", bytes(7), "dst and src must each be 6 octets"),
+        ("ethertype", b"\x08", "ethertype must be 2 octets"),
+        ("payload", bytes(1501), "payload 1501 exceeds 1500 octets"),
+        ("fcs", bytes(3), "fcs must be 4 octets"),
+        ("pad", b"", "frame length 23 outside [64, 1518]"),
+    ])
+    def test_frame_refuses_field_sizes(self, field, value, message):
+        f = build_frame(DST, SRC, 0x0800, b"hello")
+        with pytest.raises(FrameError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(f, **{field: value})
 
     def test_max_payload_accepted(self):
         f = build_frame(DST, SRC, 0x0800, bytes(1500))
@@ -127,6 +142,8 @@ class TestBuildFrame:
                 ethertype_bytes(value)
             with pytest.raises(FrameError):
                 build_frame(DST, SRC, value, b"")
+        with pytest.raises(FrameError, match="^ethertype must be 2 octets, got 3$"):
+            ethertype_bytes(b"\x08\x00\x00")
 
     def test_mac_address_parsing(self):
         assert mac_address("00:01:02:03:04:05") == bytes(range(6))
@@ -572,6 +589,11 @@ class TestSignature:
     def test_unsigned_frame_rejected(self):
         hook = keyed_checksum_hook("unit-signer")
         assert not verify_frame(make_frame(30, seed=13), hook).accepted
+
+    def test_payload_shorter_than_tag_rejected(self):
+        hook = keyed_checksum_hook("unit-signer")
+        result = verify_frame(make_frame(hook.tag_length - 1, seed=15), hook)
+        assert (result.accepted, result.reason) == (False, "signature_invalid")
 
     def test_tag_budget_boundary(self):
         hook = keyed_checksum_hook("unit-signer")

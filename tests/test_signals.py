@@ -238,6 +238,11 @@ class TestOpticalTrace:
         with pytest.raises(ValueError):
             OpticalTrace(0.0, np.zeros(3))
 
+    @pytest.mark.parametrize("origin", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_origin(self, origin):
+        with pytest.raises(ValueError, match=f"^origin_time must be finite, got {origin}$"):
+            OpticalTrace(1.0, np.zeros(3), origin)
+
     @pytest.mark.parametrize("at", [0, _FINITE_BLOCK - 1, _FINITE_BLOCK, 2 * _FINITE_BLOCK + 6])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_found_in_any_block(self, at, bad):
