@@ -118,6 +118,7 @@ _CHECKS = {
     "window_ms": lambda v: emanation.DriveConfig(activity_window=v / 1000.0),
     "stretch_us": lambda v: [emanation.DriveConfig(pulse_stretch=s) for s in _stretch_seconds(v)],
     "sample_rate": lambda v: OpticalTrace(v, ()),
+    "hysteresis": lambda v: recovery.threshold_detect(OpticalTrace(1.0, (0.0, 1.0)), v),
     "attenuation": lambda v: diode.DiodeLink(channel_attenuation=v),
     "frames": _frames,
     "emanation_class": emanation.EmanationClass.from_label,

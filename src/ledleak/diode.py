@@ -272,7 +272,7 @@ def link_report(runs: Iterable[tuple[OpticalTrace, OpticalTrace, ValidationResul
     accepted: list[EthernetFrame] = []
     reasons: Counter = Counter()
     for emitted, _, result in runs:
-        digest.update(emitted.samples.tobytes())
+        digest.update(emitted.samples)
         if result.accepted:
             accepted.append(result.frame)
         else:

@@ -125,8 +125,9 @@ class DeviceProfile:
     drive: DriveConfig = DriveConfig()
 
     def __post_init__(self) -> None:
-        if self.emanation_class is EmanationClass.CONTENT and self.drive.serial is None:
-            raise ConfigError("Class III profiles require a complete serial configuration")
+        if self.emanation_class is not EmanationClass.STATE and self.drive.serial is None:
+            raise ConfigError(f"Class {self.emanation_class.label} profiles require a complete "
+                              "serial configuration")
 
 
 def uart_encode(data: bytes, cfg: SerialConfig) -> LogicEventStream:
@@ -404,8 +405,6 @@ def drive_stream(profile: DeviceProfile, data: bytes) -> LogicEventStream:
     else:
         if not data:
             raise ConfigError(f"Class {cls.label} synthesis requires nonempty data")
-        if drive.serial is None:
-            raise ConfigError(f"Class {cls.label} synthesis requires a serial configuration")
         line = uart_encode(data, drive.serial)
         if cls is EmanationClass.CONTENT:
             lit = line if drive.lit_on_high else line.invert()

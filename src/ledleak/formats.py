@@ -1,17 +1,18 @@
 """Text file formats and atomic writes.
 
 Trace files: ``# optrace v1 sample_rate_hz=<float> origin_s=<float>`` then
-one decimal sample per line. Event files: ``# optevents v1 initial=<0|1>
-duration_s=<float>`` then one edge timestamp per line. Floats are written
-with ``repr`` so files round-trip bit-exactly.
+one decimal sample per line. Event files, the ground truth ``synth`` writes
+beside its trace: ``# optevents v1 initial=<0|1> duration_s=<float>`` then
+one edge timestamp per line; nothing here reads them back. Floats are
+written with ``repr`` so files round-trip bit-exactly.
 
-Both readers take one ASCII decimal float per body line, as ``float`` reads
-it but without underscores, with whitespace around it; blank and
+:func:`read_trace` takes one ASCII decimal float per body line, as ``float``
+reads it but without underscores, with whitespace around it; blank and
 whitespace-only lines are skipped, and lines may end in LF, CRLF or a bare
 CR. Any other line (two numbers, a comment, hex, a non-ASCII digit, bytes
 that are not UTF-8) is a :class:`ValueError` naming the file, the 1-based
-line number and the line. A value the trace or stream then refuses, such
-as a non-finite sample or ``origin_s``, names the file. Any finite sample
+line number and the line. A value the trace then refuses, such as a
+non-finite sample or ``origin_s``, names the file. Any finite sample
 round-trips, but ``recover`` and ``classify`` refuse, naming the file, a
 sample beyond ±2**495 (:data:`MAX_SAMPLE_EXPONENT`). The header is checked
 first: a bad one names the file, a value off the grammar its key and value.
@@ -64,24 +65,6 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-#: Header keys each file kind must carry, and the type each value parses as.
-_HEADER_KEYS = {TRACE_MAGIC: {"sample_rate_hz": float, "origin_s": float},
-                EVENTS_MAGIC: {"initial": int, "duration_s": float}}
-
-
-def _header_fields(line: str, magic: str) -> dict[str, str]:
-    if not line.startswith(magic):
-        raise ValueError(f"not a {magic!r} file")
-    fields = {}
-    for token in line[len(magic):].split():
-        key, _, value = token.partition("=")
-        fields[key] = value
-    for key in _HEADER_KEYS[magic]:
-        if key not in fields:
-            raise ValueError(f"{magic!r} header lacks {key}=")
-    return fields
-
-
 #: Samples formatted per chunk: bounds the text held in memory at once.
 _TRACE_BLOCK = 65536
 
@@ -112,16 +95,16 @@ _PROBE_CHARS = 65536
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
-def _bad_sample(text: str, kind: type = float) -> bool:
-    """Whether ``text`` is neither blank nor one ASCII ``kind`` (``float`` or
-    ``int``) without underscores, both of which ``float`` and ``int`` take."""
+def _bad_sample(text: str) -> bool:
+    """Whether ``text`` is neither blank nor one ASCII float; ``float``
+    would also take underscores and non-ASCII digits."""
     text = text.strip()
     if not text:
         return False
     if not text.isascii() or "_" in text:
         return True
     try:
-        kind(text)
+        float(text)
     except ValueError:
         return True
     return False
@@ -138,24 +121,31 @@ def _bad_line_error(fh: TextIO, path: str | Path) -> ValueError:
     return ValueError(f"{path} changed while it was read")
 
 
-def _read_header(fh: TextIO, path: str | Path, magic: str) -> dict[str, float | int]:
-    """The header values of an open trace or events file, parsed by key;
-    errors name the file, and a value that does not parse names its key."""
-    try:
-        fields = _header_fields(fh.readline().rstrip("\n"), magic)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    values = {}
-    for key, kind in _HEADER_KEYS[magic].items():
-        if not fields[key] or _bad_sample(fields[key], kind):
-            raise ValueError(f"{path}: header {key}: expected {kind.__name__}, "
-                             f"got {fields[key]!r}")
-        values[key] = kind(fields[key])
-    return values
+#: The keys a trace header must carry; each value parses as a float.
+_TRACE_KEYS = ("sample_rate_hz", "origin_s")
 
 
-def _read_samples(path: str | Path, magic: str) -> tuple[dict[str, float | int], np.ndarray]:
-    """The header values and the samples of a trace or events file.
+def _read_header(fh: TextIO, path: str | Path) -> dict[str, float]:
+    """The header values of an open trace file; errors name the file, and a
+    value that does not parse names its key."""
+    line = fh.readline().rstrip("\n")
+    if not line.startswith(TRACE_MAGIC):
+        raise ValueError(f"{path}: not a {TRACE_MAGIC!r} file")
+    fields = {}
+    for token in line[len(TRACE_MAGIC):].split():
+        key, _, value = token.partition("=")
+        fields[key] = value
+    for key in _TRACE_KEYS:
+        if key not in fields:
+            raise ValueError(f"{path}: {TRACE_MAGIC!r} header lacks {key}=")
+    for key in _TRACE_KEYS:
+        if not fields[key] or _bad_sample(fields[key]):
+            raise ValueError(f"{path}: header {key}: expected float, got {fields[key]!r}")
+    return {key: float(fields[key]) for key in _TRACE_KEYS}
+
+
+def read_trace(path: str | Path) -> OpticalTrace:
+    """The trace in ``path``.
 
     numpy's C parser reads the body from the path in chunks, converting
     each sample as ``float`` does, so samples come back bit for bit. The
@@ -167,26 +157,22 @@ def _read_samples(path: str | Path, magic: str) -> tuple[dict[str, float | int],
     if suffix in _COMPRESSED_SUFFIXES:
         raise ValueError(f"{path}: numpy reads a file named *{suffix} as compressed; rename it")
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        header = _read_header(fh, path, magic)
-        if all(chunk.isspace() for chunk in iter(lambda: fh.read(_PROBE_CHARS), "")):
-            return header, np.empty(0)  # loadtxt would warn of an empty input
-        try:
-            # Absolute, so numpy never takes the path for a URL.
-            samples = np.loadtxt(os.path.join(os.getcwd(), path), comments=None, ndmin=2,
-                                 skiprows=1, encoding="utf-8")
-        except ValueError:
-            samples = None
-        if not os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
-            raise ValueError(f"{path} changed while it was read")
-        if samples is None or samples.shape[1] != 1:
-            raise _bad_line_error(fh, path)
-    return header, samples.reshape(-1)
-
-
-def read_trace(path: str | Path) -> OpticalTrace:
-    header, samples = _read_samples(path, TRACE_MAGIC)
+        header = _read_header(fh, path)
+        samples = np.empty((0, 1))  # loadtxt would warn of an empty input
+        if not all(chunk.isspace() for chunk in iter(lambda: fh.read(_PROBE_CHARS), "")):
+            try:
+                # Absolute, so numpy never takes the path for a URL.
+                samples = np.loadtxt(os.path.join(os.getcwd(), path), comments=None, ndmin=2,
+                                     skiprows=1, encoding="utf-8")
+            except ValueError:
+                samples = None
+            if not os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
+                raise ValueError(f"{path} changed while it was read")
+            if samples is None or samples.shape[1] != 1:
+                raise _bad_line_error(fh, path)
     try:
-        return OpticalTrace._adopt(header["sample_rate_hz"], samples, header["origin_s"])
+        return OpticalTrace._adopt(header["sample_rate_hz"], samples.reshape(-1),
+                                   header["origin_s"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -196,14 +182,6 @@ def write_events(path: str | Path, events: LogicEventStream) -> None:
     with atomic_open(path) as fh:
         fh.write(header)
         fh.writelines(f"{t!r}\n" for t in events.edges)
-
-
-def read_events(path: str | Path) -> LogicEventStream:
-    header, edges = _read_samples(path, EVENTS_MAGIC)
-    try:
-        return LogicEventStream(header["initial"], edges, header["duration_s"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def octets_to_hexline(octets: bytes) -> str:

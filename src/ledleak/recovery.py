@@ -74,7 +74,7 @@ def threshold_detect(trace: OpticalTrace, hysteresis_fraction: float = 0.2) -> L
     Raises :class:`NoSignalError` for an empty or flat trace.
     """
     if not 0 <= hysteresis_fraction < 0.5:
-        raise ValueError("hysteresis_fraction must be in [0, 0.5)")
+        raise ValueError(f"hysteresis_fraction must be in [0, 0.5), got {hysteresis_fraction}")
     s = trace.samples
     if s.size == 0:
         raise NoSignalError("no signal: empty trace")

@@ -3,8 +3,8 @@ expected test values.
 
 Everything here is deliberately brute force (bit-serial loops, dense
 sampling) and shares no code with the package under test, but for the
-header parse and value types of the file readers, and the stretch sweep's
-row-by-row loop, which checks only how the sweep shares one noise draw.
+trace header parse, and the stretch sweep's row-by-row loop, which checks
+only how the sweep shares one noise draw.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ledleak.emanation import (
     uart_encode,
 )
 from ledleak.errors import NoSignalError
-from ledleak.formats import EVENTS_MAGIC, TRACE_MAGIC, _header_fields
+from ledleak.formats import EVENTS_MAGIC, _read_header
 from ledleak.recovery import bit_error_rate, leakage_mutual_information, recover_data
 from ledleak.signals import LogicEventStream, OpticalTrace
 
@@ -460,21 +460,26 @@ def threshold_detect_loop(trace, hysteresis_fraction: float = 0.2):
 # ---------------------------------------------------------------------------
 # optrace / optevents readers (one Python ``float`` per line)
 # ---------------------------------------------------------------------------
-# The header parse and the value types are the package's own: only the body
-# loops are the reference.
+# The trace header parse is the package's own: only the body loop is the
+# reference. The package reads no events file, so that header is parsed here.
 
 def read_trace_loop(path):
     with open(path, encoding="utf-8") as fh:
-        header = _header_fields(fh.readline().rstrip("\n"), TRACE_MAGIC)
+        header = _read_header(fh, path)
         samples = np.fromiter((float(line) for line in fh if line.strip()), dtype=np.float64)
-    return OpticalTrace(float(header["sample_rate_hz"]), samples, float(header["origin_s"]))
+    return OpticalTrace(header["sample_rate_hz"], samples, header["origin_s"])
 
 
 def read_events_loop(path):
+    """The stream in an events file: ``key=value`` header tokens after the
+    magic, then one edge timestamp per line."""
     with open(path, encoding="utf-8") as fh:
-        header = _header_fields(fh.readline().rstrip("\n"), EVENTS_MAGIC)
+        header = fh.readline().rstrip("\n")
+        if not header.startswith(EVENTS_MAGIC):
+            raise ValueError(f"{path}: not a {EVENTS_MAGIC!r} file")
+        fields = dict(token.split("=", 1) for token in header[len(EVENTS_MAGIC):].split())
         edges = tuple(float(line) for line in fh if line.strip())
-    return LogicEventStream(int(header["initial"]), edges, float(header["duration_s"]))
+    return LogicEventStream(int(fields["initial"]), edges, float(fields["duration_s"]))
 
 
 # ---------------------------------------------------------------------------

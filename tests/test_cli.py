@@ -29,12 +29,12 @@ from ledleak.cli import (
 )
 from ledleak.emanation import MAX_SAMPLES
 from ledleak.errors import ConfigError
-from ledleak.formats import read_events, read_trace, write_trace
+from ledleak.formats import read_trace, write_trace
 from ledleak.signals import NoiseModel, OpticalTrace, SerialConfig
 
 import numpy as np
 
-from oracles import stretch_sweep_rows
+from oracles import read_events_loop, stretch_sweep_rows
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -96,7 +96,7 @@ class TestSynthRecover:
         out = tmp_path / "run"
         run(capsys, "synth", "--class", "III", "--data", "x", "--seed", "1",
             "--out", str(out))
-        events = read_events(out / "events.optevents")
+        events = read_events_loop(out / "events.optevents")
         assert len(events.edges) > 0
 
     def test_flat_trace_exits_no_signal(self, tmp_path, capsys):
@@ -839,19 +839,6 @@ def _optrace_body(draw) -> bytes:
 
 
 @st.composite
-def _optevents_body(draw) -> bytes:
-    initial = draw(st.sampled_from(["0", "1", "2", "x", "\u0660"]))
-    duration = draw(st.sampled_from(["0.01", "0", "-1", "nan", "inf", "x"]))
-    header = draw(st.sampled_from([f"# optevents v1 initial={initial} duration_s={duration}",
-                                   f"# optevents v1 initial={initial}",
-                                   f"# optrace v1 sample_rate_hz=1e6 origin_s={duration}"]))
-    lines = draw(st.lists(st.sampled_from(
-        ["0", "0.001", "0.002", "0.01", "0.02", "-0.001", "nan", "inf", "x", ""]), max_size=8))
-    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return end.join([header, *lines]).encode() + draw(st.sampled_from([b"", b"\n", b"\xff"]))
-
-
-@st.composite
 def _config_body(draw) -> bytes:
     lines = []
     for _ in range(draw(st.integers(0, 5))):
@@ -865,13 +852,9 @@ def _config_body(draw) -> bytes:
 @st.composite
 def cli_cases(draw):
     """``(argv, files, expected_code)``: ``{dir}`` in argv is the directory
-    that ``files`` (name to bytes) are written to. ``argv is None`` reads
-    the events file, which no subcommand takes, with ``read_events``."""
+    that ``files`` (name to bytes) are written to."""
     files = {"t.optrace": draw(_optrace_body())}
-    kind = draw(st.sampled_from(["argv", "argv", "argv", "stream", "stream", "ethertype",
-                                 "events"]))
-    if kind == "events":
-        return None, {"e.optevents": draw(_optevents_body())}, None
+    kind = draw(st.sampled_from(["argv", "argv", "argv", "stream", "stream", "ethertype"]))
     if kind == "ethertype":
         text = _near_hex(draw, draw(st.text(_HEX, min_size=1, max_size=5)))
         ok = re.fullmatch("[0-9a-fA-F]+", text) and int(text, 16) <= 0xFFFF
@@ -934,12 +917,6 @@ class TestCliFuzz:
         with tempfile.TemporaryDirectory() as d:
             for name, body in files.items():
                 Path(d, name).write_bytes(body)
-            if argv is None:
-                try:
-                    read_events(Path(d, "e.optevents"))
-                except ValueError:  # main's exit-1 class
-                    pass
-                return
             code, _, err = _run_main([a.replace("{dir}", d) for a in argv])
         event(f"{argv[:2] if argv[:1] == ['mac'] else argv[:1]} exit {code}")
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NO_SIGNAL, EXIT_ONE_WAY)
@@ -1040,6 +1017,8 @@ _RANGE_ERRORS = [
     ("diode", "attenuation", "2", "channel_attenuation must be in [0, 1], got 2.0"),
     ("recover", "seed", "-1", "seed must fit in 64 bits, got -1"),
     ("synth", "sigma", "nan", "gaussian_sigma must be >= 0 and finite, got nan"),
+    ("recover", "hysteresis", "0.7", "hysteresis_fraction must be in [0, 0.5), got 0.7"),
+    ("classify", "hysteresis", "nan", "hysteresis_fraction must be in [0, 0.5), got nan"),
 ]
 
 
@@ -1089,6 +1068,19 @@ class TestOneCast:
         assert (code, stdout) == (EXIT_CONFIG, "")
         assert err == f"error: config key {key!r} in {path}: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_key_the_subcommand_does_not_use_is_checked(self, tmp_path, capsys):
+        """``synth`` has no ``--hysteresis`` flag but checks the key in a file."""
+        path = tmp_path / "exp.cfg"
+        path.write_text("hysteresis=0.9\n")
+        code, stdout, err = run(capsys, *self.argv(tmp_path, "synth"), "--config", str(path))
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err == (f"error: config key 'hysteresis' in {path}: "
+                       "hysteresis_fraction must be in [0, 0.5), got 0.9\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_every_key_but_paths_and_text_is_checked(self):
+        assert set(cli._FIELD_TYPES) - set(cli._CHECKS) == {"out", "data"}
 
     def test_class_takes_the_config_file_spellings(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

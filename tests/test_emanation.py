@@ -627,7 +627,8 @@ class TestSynthesizeClass:
         assert matches <= 3  # over half the octets wrong or missing
 
     def test_class_iii_requires_serial(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="^Class III profiles require a complete serial configuration$"):
             DeviceProfile(EmanationClass.CONTENT, drive=DriveConfig(serial=None))
 
     def test_data_required_for_ii_and_iii(self):
@@ -687,9 +688,9 @@ class TestSynthesizeClass:
             DriveConfig(state_schedule=schedule)
 
     def test_class_ii_requires_serial(self):
-        prof = DeviceProfile(EmanationClass.ACTIVITY, drive=DriveConfig(serial=None))
-        with pytest.raises(ConfigError, match="^Class II synthesis requires a serial configuration$"):
-            drive_stream(prof, b"x")
+        with pytest.raises(ConfigError,
+                           match="^Class II profiles require a complete serial configuration$"):
+            DeviceProfile(EmanationClass.ACTIVITY, drive=DriveConfig(serial=None))
 
     def test_led_model_validation(self):
         with pytest.raises(ValueError):
