@@ -701,6 +701,16 @@ class TestInputContract:
         assert_one_error_line(err)
         assert f"error: {path}, {line}" in err
 
+    @pytest.mark.parametrize("command", ["recover", "classify"])
+    def test_events_file_is_not_a_trace(self, tmp_path, capsys, command):
+        """The ground truth ``synth`` writes is refused where a trace goes."""
+        out = tmp_path / "run"
+        run(capsys, "synth", "--class", "III", "--data", "x", "--seed", "1", "--out", str(out))
+        path = out / "events.optevents"
+        code, stdout, err = run(capsys, command, str(path))
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err == f"error: {path}: not a '# optrace v1' file\n"
+
     def test_classify_baud_auto_exits_config(self, tmp_path, capsys):
         path = tmp_path / "t.optrace"
         write_trace(path, OpticalTrace(1e4, np.linspace(0.0, 1.0, 8)))
@@ -1019,6 +1029,9 @@ _RANGE_ERRORS = [
     ("synth", "sigma", "nan", "gaussian_sigma must be >= 0 and finite, got nan"),
     ("recover", "hysteresis", "0.7", "hysteresis_fraction must be in [0, 0.5), got 0.7"),
     ("classify", "hysteresis", "nan", "hysteresis_fraction must be in [0, 0.5), got nan"),
+    ("classify", "hysteresis", "0.5", "hysteresis_fraction must be in [0, 0.5), got 0.5"),
+    ("recover", "hysteresis", "-0.1", "hysteresis_fraction must be in [0, 0.5), got -0.1"),
+    ("recover", "hysteresis", "inf", "hysteresis_fraction must be in [0, 0.5), got inf"),
 ]
 
 
@@ -1078,6 +1091,10 @@ class TestOneCast:
         assert err == (f"error: config key 'hysteresis' in {path}: "
                        "hysteresis_fraction must be in [0, 0.5), got 0.9\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [0.0, 0.4999])
+    def test_hysteresis_check_takes_the_range(self, value):
+        cli._CHECKS["hysteresis"](value)
 
     def test_every_key_but_paths_and_text_is_checked(self):
         assert set(cli._FIELD_TYPES) - set(cli._CHECKS) == {"out", "data"}

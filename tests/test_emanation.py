@@ -631,6 +631,10 @@ class TestSynthesizeClass:
                            match="^Class III profiles require a complete serial configuration$"):
             DeviceProfile(EmanationClass.CONTENT, drive=DriveConfig(serial=None))
 
+    def test_class_i_needs_no_serial(self):
+        prof = DeviceProfile(EmanationClass.STATE, drive=DriveConfig(serial=None))
+        assert prof.drive.serial is None
+
     def test_data_required_for_ii_and_iii(self):
         prof = DeviceProfile(EmanationClass.CONTENT, drive=DriveConfig(serial=CFG))
         with pytest.raises(ConfigError):

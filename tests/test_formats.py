@@ -105,6 +105,16 @@ class TestEventFiles:
         first = path.read_text().splitlines()[0]
         assert first.startswith("# optevents v1 initial=0 duration_s=")
 
+    def test_bytes_written(self, tmp_path):
+        path = tmp_path / "e.optevents"
+        write_events(path, LogicEventStream(1, (0.5, 1.0, 1.2345678901234567), 2.0))
+        assert path.read_bytes() == (b"# optevents v1 initial=1 duration_s=2.0\n"
+                                     b"0.5\n1.0\n1.2345678901234567\n")
+
+    def test_no_temp_files_left(self, tmp_path):
+        write_events(tmp_path / "e.optevents", LogicEventStream(0, (0.25,), 1.0))
+        assert [p.name for p in tmp_path.iterdir()] == ["e.optevents"]
+
 
 class TestHeaderErrors:
     """Header errors name the file, and a value that does not parse names
@@ -120,9 +130,22 @@ class TestHeaderErrors:
         (read_trace, "# optrace v2 sample_rate_hz=1000.0 origin_s=0.0",
          "not a '# optrace v1' file"),
         (read_trace, "# optrace v1 origin_s=0.0", "'# optrace v1' header lacks sample_rate_hz="),
+        (read_trace, "# optrace v1 sample_rate_hz=1000.0", "'# optrace v1' header lacks origin_s="),
+        # Every key is looked for before any value is parsed.
+        (read_trace, "# optrace v1 sample_rate_hz=x", "'# optrace v1' header lacks origin_s="),
+        (read_trace, "# optrace v1 sample_rate_hz= origin_s=0.0",
+         "header sample_rate_hz: expected float, got ''"),
+        (read_trace, "# optrace v1 sample_rate_hz=\u0661 origin_s=0.0",  # Arabic-Indic one
+         "header sample_rate_hz: expected float, got '\u0661'"),
+        # The ground truth ``synth`` writes beside its trace is not a trace.
+        (read_trace, "# optevents v1 initial=0 duration_s=1.0", "not a '# optrace v1' file"),
         # Values that parse but that the trace refuses.
         (read_trace, "# optrace v1 sample_rate_hz=0 origin_s=0.0",
          "sample_rate must be positive and finite, got 0.0"),
+        (read_trace, "# optrace v1 sample_rate_hz=-1e3 origin_s=0.0",
+         "sample_rate must be positive and finite, got -1000.0"),
+        (read_trace, "# optrace v1 sample_rate_hz=inf origin_s=0.0",
+         "sample_rate must be positive and finite, got inf"),
         (read_trace, "# optrace v1 sample_rate_hz=1000.0 origin_s=inf",
          "origin_time must be finite, got inf"),
         (read_trace, "# optrace v1 sample_rate_hz=1000.0 origin_s=nan",
