@@ -65,7 +65,8 @@ class ReceiverCircuit:
             raise ValueError("photocurrent_on must be positive")
 
     def node_voltage(self, irradiance: np.ndarray) -> np.ndarray:
-        drop = irradiance * self.photocurrent_on * self.pullup_ohms
+        with np.errstate(over="ignore"):  # an infinite drop clamps to 0 V like any large one
+            drop = irradiance * self.photocurrent_on * self.pullup_ohms
         return np.clip(self.supply_volts - drop, 0.0, None)
 
 

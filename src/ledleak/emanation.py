@@ -161,6 +161,8 @@ def uart_encode(data: bytes, cfg: SerialConfig) -> LogicEventStream:
 
 #: ``np.exp(-x)`` is exactly 0.0 for x >= 746: the smallest subnormal double is e^-744.4.
 _EXP_UNDERFLOW = 746.0
+#: ``np.exp(x)`` is finite exactly for x <= log(DBL_MAX), about 709.78.
+_EXP_OVERFLOW = float(np.log(np.finfo(np.float64).max))
 #: ``log(4) + 1``: the settle point's margin, in time constants (see :func:`led_transduce`).
 _SETTLE_MARGIN = float(np.log(4.0) + 1.0)
 #: Vector sweeps for the segment start values before a scalar loop: the default
@@ -213,8 +215,9 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float) -> 
     seconds = np.diff(bounds)
     lit = (np.arange(seconds.size) + line.initial_level) % 2 == 1
     target = np.where(lit, led.on_level, led.off_level)
-    rise_decay = np.exp(-seconds / led.rise_time)
-    fall_decay = np.exp(-seconds / led.fall_time)
+    with np.errstate(over="ignore"):
+        rise_decay = np.exp(-seconds / led.rise_time)
+        fall_decay = np.exp(-seconds / led.fall_time)
 
     # start[k + 1] = target + (start[k] - target) * decay, rising if the target
     # lies above start[k]; start[0] is steady state. Sweeps step all segments
@@ -257,6 +260,12 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float) -> 
     head_end = np.minimum(hi, np.ceil((starts_at + settle * tau) * sample_rate) + 1)
     head_len = (head_end - lo).astype(np.int64)
     seg = np.flatnonzero(head_len)
+    # A head's exponent, -x0, peaks at its first sample, which rounding can put before its edge.
+    with np.errstate(over="ignore"):
+        x0 = (lo / sample_rate - starts_at) / tau
+    if x0[seg].min(initial=0.0) < -_EXP_OVERFLOW:
+        raise ValueError(f"a {line.duration:g} s line sampled at {sample_rate:g} Hz puts samples "
+                         "too far before their edges: the LED response overflows")
     cuts = np.searchsorted(np.cumsum(head_len[seg]),
                            np.arange(_HEAD_BATCH, head_len.sum(), _HEAD_BATCH))
     for part in np.split(seg, cuts):

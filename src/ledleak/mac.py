@@ -43,6 +43,12 @@ _NON_HEX = re.compile(r"[^0-9a-fA-F]")
 _NIBBLES = bytes(range(16))
 _HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdefABCDEF", _NIBBLES + _NIBBLES[10:])
 _NIBBLE_TO_HEX = bytes.maketrans(_NIBBLES, b"0123456789abcdef")
+#: Octet to MII nibble pair (low nibble first, one little-endian ``uint16``) and back;
+#: only pairs of nibbles in [0, 15] have an octet, as ``MiiNibbleStream`` ensures.
+_PAIRS = {(o & 0xF) | (o >> 4) << 8: o for o in range(256)}
+_SPLIT = np.array(list(_PAIRS), dtype="<u2")
+_PACK = np.array([_PAIRS.get(v, 0) for v in range(1 << 12)], dtype=np.uint8)
+_COMPLEMENT = bytes(range(255, -1, -1))  # a ``bytes.translate`` table: ~octet
 
 
 def _hex_int(text: str, what: str) -> int:
@@ -115,7 +121,7 @@ class EthernetFrame:
         total = self.wire_length
         if not MIN_FRAME <= total <= MAX_FRAME:
             raise FrameError(f"frame length {total} outside [{MIN_FRAME}, {MAX_FRAME}]")
-        good = crc32_fcs(self.dst + self.src + self.ethertype + self.payload + self.pad)
+        good = crc32_fcs(b"".join((self.dst, self.src, self.ethertype, self.payload, self.pad)))
         if self.fcs != good:
             raise FrameError("fcs does not match frame contents")
 
@@ -124,7 +130,7 @@ class EthernetFrame:
         return HEADER_LEN + len(self.payload) + len(self.pad) + FCS_LEN
 
     def serialize(self) -> bytes:
-        return self.dst + self.src + self.ethertype + self.payload + self.pad + self.fcs
+        return b"".join((self.dst, self.src, self.ethertype, self.payload, self.pad, self.fcs))
 
 
 def build_frame(dst: bytes | str, src: bytes | str, ethertype: bytes | int | str,
@@ -135,7 +141,7 @@ def build_frame(dst: bytes | str, src: bytes | str, ethertype: bytes | int | str
     ethertype = ethertype_bytes(ethertype)
     payload = bytes(payload)
     pad = bytes(max(0, MIN_PAYLOAD - len(payload)))
-    fcs = crc32_fcs(dst + src + ethertype + payload + pad)
+    fcs = crc32_fcs(b"".join((dst, src, ethertype, payload, pad)))
     return EthernetFrame(dst, src, ethertype, payload, pad, fcs)
 
 
@@ -172,11 +178,7 @@ class MiiNibbleStream:
 def octets_to_nibbles(octets: bytes) -> bytes:
     """Split octets into MII nibbles, low nibble first; inverse of
     :func:`_nibbles_to_octets`."""
-    b = np.frombuffer(bytes(octets), dtype=np.uint8)
-    out = np.empty(2 * b.size, dtype=np.uint8)
-    out[0::2] = b & 0xF
-    out[1::2] = b >> 4
-    return out.tobytes()
+    return _SPLIT.take(np.frombuffer(bytes(octets), dtype=np.uint8)).tobytes()
 
 
 def stream_from_wire_octets(octets: bytes) -> MiiNibbleStream:
@@ -242,17 +244,19 @@ class PipelineState:
                 self.sfd_found = True
                 self.fields_valid["sfd"] = self.cursor
             self._after_5 = nibble == 0x5
-        elif self._lo is None:
+            return self
+        lo = self._lo
+        if lo is None:
             self._lo = nibble
-        else:
-            octets = self._octets
-            octets.append(self._lo | (nibble << 4))
-            self._lo = None
-            field = _HEADER_FIELDS.get(len(octets))
-            if field:
-                name, start = field
-                setattr(self, name, bytes(octets[start:]))
-                self.fields_valid[name] = self.cursor
+            return self
+        octets = self._octets
+        octets.append(lo | (nibble << 4))
+        self._lo = None
+        field = _HEADER_FIELDS.get(len(octets))
+        if field:
+            name, start = field
+            setattr(self, name, bytes(octets[start:]))
+            self.fields_valid[name] = self.cursor
         return self
 
     def feed(self, nibbles: bytes) -> "PipelineState":
@@ -314,8 +318,7 @@ def _sfd_index(nibbles: bytes) -> int:
 
 def _nibbles_to_octets(nibbles: bytes) -> bytes:
     """Pack MII nibbles into octets, low nibble first; a dangling half octet is dropped."""
-    n = np.frombuffer(nibbles, dtype=np.uint8)[:len(nibbles) & ~1]
-    return (n[0::2] | (n[1::2] << 4)).tobytes()
+    return _PACK.take(np.frombuffer(nibbles, dtype="<u2", count=len(nibbles) >> 1)).tobytes()
 
 
 def validate_frame(stream: MiiNibbleStream) -> ValidationResult:
@@ -335,8 +338,10 @@ def validate_frame(stream: MiiNibbleStream) -> ValidationResult:
     body, fcs = octets[:-FCS_LEN], octets[-FCS_LEN:]
     if crc32_fcs(body) != fcs:
         return ValidationResult(False, None, "fcs_mismatch")
-    frame = EthernetFrame(body[:6], body[6:12], body[12:HEADER_LEN],
-                          body[HEADER_LEN:], b"", fcs)
+    # The checks just made imply every check of the constructor: skip them.
+    frame = object.__new__(EthernetFrame)
+    frame.__dict__.update(dst=body[:6], src=body[6:12], ethertype=body[12:HEADER_LEN],
+                          payload=body[HEADER_LEN:], pad=b"", fcs=fcs)
     return ValidationResult(True, frame, None)
 
 
@@ -363,7 +368,7 @@ def abort_transmission(stream: MiiNibbleStream, abort_at: int) -> MiiNibbleStrea
     if sfd < 0:
         raise ValueError("stream carries no SFD; nothing to abort")
     good = crc32_fcs(_nibbles_to_octets(nibbles[sfd + 1:n - 8]))
-    bad = octets_to_nibbles(bytes(b ^ 0xFF for b in good))
+    bad = octets_to_nibbles(good.translate(_COMPLEMENT))
     return MiiNibbleStream(nibbles[:n - 8] + bad)
 
 

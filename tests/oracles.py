@@ -69,6 +69,20 @@ def nibbles_in_range(values) -> bool:
     return not values or max(values) <= 15
 
 
+def octets_to_nibbles_loop(octets: bytes) -> bytes:
+    """Each octet's low nibble, then its high nibble, one octet at a time."""
+    out = bytearray()
+    for octet in octets:
+        out.append(octet & 0xF)
+        out.append(octet >> 4)
+    return bytes(out)
+
+
+def nibbles_to_octets_loop(nibbles: bytes) -> bytes:
+    """One octet per pair of nibbles, low nibble first; a dangling half octet is dropped."""
+    return bytes(nibbles[i] | nibbles[i + 1] << 4 for i in range(0, len(nibbles) - 1, 2))
+
+
 # ---------------------------------------------------------------------------
 # Frame hex dump
 # ---------------------------------------------------------------------------

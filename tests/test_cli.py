@@ -1002,6 +1002,48 @@ class TestExtremeTraces:
                 EXIT_CONFIG, "", f"error: {path}: samples must lie within [-2**{e}, 2**{e}]\n")
 
 
+def _run_showing_warnings(capsys, *argv) -> tuple[int, str, str]:
+    """``run``, with each warning printed as a ``warning:`` line as outside tests."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        return run(capsys, *argv)
+
+
+_DIODE_2 = ('{"emitter_trace_digest": '
+            '"d9f9a2aa8a64c9651ba05209ce2fb2c7df05557448b14032e1dc80e70b87002f", '
+            '"frames_accepted": 0, "frames_rejected": 2, "frames_sent": 2, '
+            '"reject_reasons": {"no_sfd": 2}}\n')
+
+
+class TestOverflowingValues:
+    """Finite values whose products overflow a double: one outcome each, no
+    ``warning:`` line."""
+
+    @pytest.mark.parametrize("offset", ["1e308", "-1e308"])
+    def test_huge_offset_clamps_the_node(self, tmp_path, capsys, offset):
+        argv = ("diode", "--frames", "2", f"--offset={offset}", "--out", str(tmp_path / "d"))
+        assert _run_showing_warnings(capsys, *argv) == (EXIT_OK, _DIODE_2, "")
+
+    def test_huge_offset_wired_back(self, tmp_path, capsys):
+        argv = ("diode", "--frames", "2", "--offset", "1e308", "--wired-back",
+                "--out", str(tmp_path / "d"))
+        assert _run_showing_warnings(capsys, *argv) == (
+            EXIT_ONE_WAY, _DIODE_2, "error: unidirectionality violation under "
+            "flood_receive_buffers: d9f9a2aa8a64c965 != 26e4c5c63b6df7b5\n")
+
+    @pytest.mark.parametrize("argv, duration, rate", [
+        (("diode", "--frames", "1", "--baud", "1e-21"), "7.21e+23", "1.6e-20"),
+        (("diode", "--frames", "1", "--baud", "1e-300"), "7.21e+302", "1.6e-299"),
+        (("synth", "--class", "III", "--data-hex", "00", "--baud", "1e-24",
+          "--sample-rate", "1.6e-23"), "1.1e+25", "1.6e-23"),
+    ])
+    def test_tiny_baud_names_the_cause(self, tmp_path, capsys, argv, duration, rate):
+        out = tmp_path / "o"
+        assert _run_showing_warnings(capsys, *argv, "--out", str(out)) == (
+            EXIT_CONFIG, "", f"error: a {duration} s line sampled at {rate} Hz puts samples "
+            "too far before their edges: the LED response overflows\n")
+
+
 # ---------------------------------------------------------------------------
 # One cast for flags and config files, and the flag set each subcommand takes
 # ---------------------------------------------------------------------------

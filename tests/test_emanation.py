@@ -171,6 +171,14 @@ class TestLedTransduce:
         with pytest.raises(ValueError, match="sample_rate"):
             led_transduce(line, LedModel(), sample_rate)
 
+    def test_response_overflow_is_one_value_error(self):
+        # At 1e-24 baud, rounding puts a sample before its edge by far more
+        # than 710 LED time constants.
+        line = uart_encode(b"\x00", SerialConfig(baud=1e-24))
+        with pytest.raises(ValueError, match="^a 1.1e[+]25 s line sampled at 1.6e-23 Hz puts "
+                                             "samples too far before their edges"):
+            led_transduce(line, LedModel(), 1.6e-23)
+
     def test_sample_count_cap_allocates_nothing(self):
         line = LogicEventStream(0, (0.5,), 1.0)
         tracemalloc.start()

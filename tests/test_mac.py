@@ -30,7 +30,14 @@ from ledleak.mac import (
     verify_frame,
 )
 
-from oracles import crc32_bitserial, crc32_bitserial_le, field_values, nibbles_in_range
+from oracles import (
+    crc32_bitserial,
+    crc32_bitserial_le,
+    field_values,
+    nibbles_in_range,
+    nibbles_to_octets_loop,
+    octets_to_nibbles_loop,
+)
 
 DST = mac_address("aa:bb:cc:dd:ee:ff")
 SRC = mac_address("11:22:33:44:55:66")
@@ -266,6 +273,42 @@ class TestMiiMarshal:
                 MiiNibbleStream.from_string(text)
 
 
+class TestNibbleCodec:
+    """The split and the pack, value by value, against one-octet-at-a-time loops."""
+
+    def test_every_octet_splits_like_the_loop(self):
+        for value in range(256):
+            assert octets_to_nibbles(bytes([value])) == octets_to_nibbles_loop(bytes([value]))
+        every = bytes(range(256))
+        assert octets_to_nibbles(every) == octets_to_nibbles_loop(every)
+
+    def test_every_nibble_pair_packs_like_the_loop(self):
+        pairs = bytes(n for hi in range(16) for lo in range(16) for n in (lo, hi))
+        assert _nibbles_to_octets(pairs) == nibbles_to_octets_loop(pairs) == bytes(range(256))
+        for i in range(0, len(pairs), 2):
+            assert _nibbles_to_octets(pairs[i:i + 2]) == nibbles_to_octets_loop(pairs[i:i + 2])
+
+    @pytest.mark.parametrize("nibbles", [b"", b"\x0f", b"\x05\x0d\x0a",
+                                         bytes(range(16)) * 3 + b"\x07"], ids=len)
+    def test_empty_and_odd_streams_pack_like_the_loop(self, nibbles):
+        assert _nibbles_to_octets(nibbles) == nibbles_to_octets_loop(nibbles)
+
+    def test_empty_octets_split_to_nothing(self):
+        assert octets_to_nibbles(b"") == octets_to_nibbles_loop(b"") == b""
+
+    @given(st.lists(st.integers(0, 15), max_size=401).map(bytes))
+    @settings(max_examples=100, deadline=None)
+    def test_any_stream_packs_like_the_loop(self, nibbles):
+        assert _nibbles_to_octets(nibbles) == nibbles_to_octets_loop(nibbles)
+
+    @given(st.binary(max_size=300), st.sampled_from([bytes, bytearray, memoryview]))
+    @settings(max_examples=100, deadline=None)
+    def test_any_octets_split_like_the_loop(self, octets, kind):
+        nibbles = octets_to_nibbles(kind(octets))
+        assert type(nibbles) is bytes
+        assert nibbles == octets_to_nibbles_loop(octets)
+
+
 # ---------------------------------------------------------------------------
 # Pipeline state machine
 # ---------------------------------------------------------------------------
@@ -453,6 +496,37 @@ class TestValidateFrame:
         assert result.accepted
         assert result.frame.serialize() == f.serialize()
 
+    @given(st.binary(min_size=6, max_size=6), st.binary(min_size=6, max_size=6),
+           st.integers(0, 0xFFFF), st.binary(max_size=1500)
+           | st.integers(0, 1500).map(bytes))
+    @example(bytes(6), bytes(6), 0, b"").via("all pad")
+    @example(b"\xff" * 6, b"\xff" * 6, 0xFFFF, b"\xff" * 1500).via("largest frame")
+    @settings(max_examples=100, deadline=None)
+    def test_frame_equals_the_checked_constructors(self, dst, src, ethertype, payload):
+        f = build_frame(dst, src, ethertype, payload)
+        frame = validate_frame(mii_marshal(f)).frame
+        # The receiver cannot tell pad from payload: both arrive as payload.
+        checked = EthernetFrame(f.dst, f.src, f.ethertype, f.payload + f.pad, b"", f.fcs)
+        assert frame == checked and hash(frame) == hash(checked)
+        if not f.pad:
+            assert frame == f and hash(frame) == hash(f)
+        assert frame.serialize() == f.serialize()
+        assert frame.wire_length == f.wire_length
+        for field in dataclasses.fields(EthernetFrame):
+            assert type(getattr(frame, field.name)) is bytes
+            assert getattr(frame, field.name) == getattr(checked, field.name)
+
+    @pytest.mark.parametrize("length, reason", [
+        (MIN_FRAME - 1, "runt"), (MIN_FRAME, None), (MAX_FRAME, None), (MAX_FRAME + 1, "oversize"),
+    ])
+    def test_length_bounds(self, length, reason):
+        body = bytes(range(256)) * 6
+        body = body[:length - 4]
+        s = stream_from_wire_octets(body + crc32_bitserial_le(body))
+        assert validate_frame(s).reason == reason
+        corrupt = stream_from_wire_octets(body + bytes(b ^ 1 for b in crc32_bitserial_le(body)))
+        assert validate_frame(corrupt).reason == (reason or "fcs_mismatch")
+
 
 def stepped_verdict(stream: MiiNibbleStream) -> ValidationResult:
     """Reference verdict: clock the whole stream through the pipeline."""
@@ -556,6 +630,34 @@ class TestAbort:
             abort_transmission(MiiNibbleStream(bytes(23)), 16)
         with pytest.raises(ValueError, match=r"abort_at 17 outside legal range \[16, 16\]"):
             abort_transmission(MiiNibbleStream(bytes(24)), 17)
+
+    @pytest.mark.parametrize("nibbles, expected", [
+        (bytes([0] * 20 + [5, 13, 0, 0]), "0000000000000000ffffffff"),
+        (bytes([0] * 17 + [5, 13] + [0] * 7), "000000000000000005ffffffff"),
+    ], ids=["sfd-at-21-of-24", "sfd-at-18-of-26"])
+    def test_sfd_inside_the_fcs_nibbles(self, nibbles, expected):
+        # Nothing lies between the SFD and the FCS, so the FCS covers no
+        # octets: the complement of crc32(b"") = 0, laid over the last 8 nibbles.
+        s = MiiNibbleStream(nibbles)
+        assert abort_transmission(s, 16).to_string() == expected
+        assert validate_frame(s).reason == "runt"
+
+    @pytest.mark.parametrize("junk", [1, 2, 3])
+    @pytest.mark.parametrize("tail", [0, 1])
+    def test_sfd_after_junk(self, junk, tail):
+        f = make_frame(20, seed=16)
+        prefix, suffix = bytes([0x3, 0x0, 0xA][:junk]), bytes([0x6] * tail)
+        s = MiiNibbleStream(prefix + mii_marshal(f).nibbles + suffix)
+        n = len(s)
+        aborted = abort_transmission(s, 16)
+        # The new FCS covers the octets from the SFD to 8 nibbles before the
+        # end: with a tail nibble, an odd count whose last half octet is dropped.
+        body = nibbles_to_octets_loop(s.nibbles[junk + 16:n - 8])
+        bad = octets_to_nibbles_loop(bytes(b ^ 0xFF for b in crc32_bitserial_le(body)))
+        assert aborted.nibbles == s.nibbles[:n - 8] + bad
+        assert validate_frame(aborted).reason == "fcs_mismatch"
+        # The receiver drops a dangling tail nibble and accepts the frame.
+        assert validate_frame(s).frame.serialize() == f.serialize()
 
 
 # ---------------------------------------------------------------------------
