@@ -461,11 +461,29 @@ def _warning(message, category, filename, lineno, file=None, line=None) -> None:
     print(f"warning: {str(message).translate(_LINE_BREAKS)}", file=sys.stderr)
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """``argv`` with each config flag and a following number joined into
+    ``--flag=value``: argparse's negative-number pattern has no exponent,
+    so it would take ``-1e-3`` for an option."""
+    flags, out = set(map(_flag, _FIELD_TYPES)), []
+    for arg in argv:
+        if out and out[-1] in flags:
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _warning
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
             return args.func(args)
         except (NoSignalError, EstimationError) as exc:
             _error(exc)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emanation import LedModel, add_noise, led_transduce, uart_encode
+from .emanation import LedModel, _add_noise_into, led_transduce, uart_encode
 from .mac import (
     PREAMBLE_OCTETS,
     SFD_OCTET,
@@ -65,9 +65,9 @@ class ReceiverCircuit:
             raise ValueError("photocurrent_on must be positive")
 
     def node_voltage(self, irradiance: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # an infinite drop clamps to 0 V like any large one
+        with np.errstate(over="ignore"):  # an infinite drop clamps to a rail like any large one
             drop = irradiance * self.photocurrent_on * self.pullup_ohms
-        return np.clip(self.supply_volts - drop, 0.0, None)
+        return np.clip(self.supply_volts - drop, 0.0, self.supply_volts)
 
 
 def photodiode_receive(trace: OpticalTrace, rx: ReceiverCircuit) -> LogicEventStream:
@@ -247,10 +247,11 @@ def link_frames(frames: Iterable[EthernetFrame], link: DiodeLink, noise: NoiseMo
         wire = preamble + frame.serialize()
         emitted = _emit_frame(wire, link.serial_cfg, link.tx_led, link.sample_rate, bias=bias)
 
-        channel = OpticalTrace._adopt(link.sample_rate, emitted.samples * link.channel_attenuation)
+        samples = emitted.samples * link.channel_attenuation
         frame_noise = NoiseModel(noise.gaussian_sigma, noise.ambient_offset,
                                  (noise.seed + index) & _MASK64)
-        arrived = add_noise(channel, frame_noise)
+        _add_noise_into(samples, frame_noise)
+        arrived = OpticalTrace._adopt(link.sample_rate, samples)
 
         line = photodiode_receive(arrived, link.rx).invert()
         decode = uart_decode(line, link.serial_cfg)

@@ -145,6 +145,11 @@ def uart_encode(data: bytes, cfg: SerialConfig) -> LogicEventStream:
     duration = len(data) * cfg.frame_time + bit
     if not duration < float("inf"):
         raise ValueError(f"{len(data)} octets at baud {cfg.baud} overflow the line's duration")
+    # The cells of the last octet, the latest, are the first to round onto one instant.
+    last = (len(data) - 1) * cfg.frame_time + np.arange(cfg.frame_bits) * bit
+    if data and not (last[1:] > last[:-1]).all():
+        raise ValueError(f"{len(data)} octets at baud {cfg.baud} with {cfg.idle_between_octets} s "
+                         "between octets put bit cells on one instant")
     values = np.frombuffer(bytes(data), dtype=np.uint8)
     data_cells = (values[:, None] >> np.arange(cfg.data_bits, dtype=np.uint8)) & 1
     columns = [np.zeros((values.size, 1), np.uint8), data_cells]
@@ -202,13 +207,18 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float) -> 
     rounds to exactly ``target``. The output is bit for bit that of
     evaluating every sample of every segment in turn.
     """
+    return OpticalTrace._adopt(sample_rate, _led_samples(line, led, sample_rate))
+
+
+def _led_samples(line: LogicEventStream, led: LedModel, sample_rate: float) -> np.ndarray:
+    """The samples of :func:`led_transduce`, a fresh float64 array not yet checked finite."""
     n = _sample_count(line.duration, sample_rate)
     shortest = line.shortest_pulse()
     if np.isfinite(shortest) and sample_rate < 4.0 / shortest:
         warnings.warn(
             f"sample_rate {sample_rate:g} Hz is below 4x the shortest pulse "
             f"({shortest:g} s); short pulses may be missed",
-            stacklevel=2,
+            stacklevel=3,
         )
     bounds = np.concatenate(([0.0], line.edge_array, [line.duration]))
     starts_at = bounds[:-1]
@@ -283,17 +293,17 @@ def led_transduce(line: LogicEventStream, led: LedModel, sample_rate: float) -> 
         x *= start_minus_target[owner]
         x += target[owner]
         out[idx] = x
-    return OpticalTrace._adopt(sample_rate, out)
+    return out
 
 
 #: Absorbs the float residue of interval arithmetic (seconds).
 MERGE_SLACK = 1e-12
 
 
-def union_stream(intervals, duration: float, on_before_start: bool,
+def union_stream(starts: np.ndarray, ends: np.ndarray, duration: float, on_before_start: bool,
                  gap: float = MERGE_SLACK) -> LogicEventStream:
-    """Logic stream ON over the union of ``intervals``, ``(start, end)``
-    pairs sorted by start.
+    """Logic stream ON over the union of the intervals ``[starts[k], ends[k]]``,
+    float64 arrays sorted by start, each end at or after its start.
 
     An interval joins the union so far when ``start - end <= gap``; for
     nearby times the subtraction is exact, so only gaps up to ``gap`` close.
@@ -303,21 +313,20 @@ def union_stream(intervals, duration: float, on_before_start: bool,
     (kept as an edge); the distinction matters to anything modelling
     pre-history, like LED steady state.
     """
+    if not starts.size:
+        return LogicEventStream(0, (), duration)
+    # A run starts after the last one ended (gap >= 0) and no end precedes its
+    # start, so the running maximum of the ends is the end of the current run.
+    reach = np.maximum.accumulate(ends)
+    runs = np.flatnonzero(starts[1:] - reach[:-1] > gap) + 1
     # Alternating start and end times; the last entry is the open end.
-    edges: list[float] = []
-    for s, e in intervals:
-        if edges and s - edges[-1] <= gap:
-            edges[-1] = max(edges[-1], e)
-        else:
-            edges += (s, e)
-    if edges:
-        duration = max(duration, edges[-1])
-        if edges[-1] == duration:
-            edges.pop()
+    edges = np.stack((starts[np.append(0, runs)], reach[np.append(runs - 1, -1)]), 1).ravel()
+    duration = max(duration, float(edges[-1]))
+    if edges[-1] == duration:
+        edges = edges[:-1]
     initial = 0
-    if on_before_start and edges and edges[0] == 0.0:
-        edges.pop(0)
-        initial = 1
+    if on_before_start and edges.size and edges[0] == 0.0:
+        edges, initial = edges[1:], 1
     return LogicEventStream(initial, edges, duration)
 
 
@@ -333,10 +342,10 @@ def apply_pulse_stretch(line: LogicEventStream, min_on: float) -> LogicEventStre
         raise ValueError(f"min_on must be >= 0 and finite, got {min_on}")
     if min_on == 0:
         return line
-    ivs = line.intervals(1)
-    if not ivs:
+    starts, ends = line.interval_bounds(1)
+    if not starts.size:
         return line
-    return union_stream(((s, max(e, s + min_on)) for s, e in ivs),
+    return union_stream(starts, np.maximum(ends, starts + min_on),
                         line.duration, line.initial_level == 1)
 
 
@@ -350,7 +359,7 @@ def activity_envelope(line: LogicEventStream, window: float) -> LogicEventStream
     if not 0 < window < float("inf"):
         raise ValueError(f"window must be positive and finite, got {window}")
     # Activity begins at an edge, so an interval at t=0 switches ON at 0.
-    return union_stream(((e, e + window) for e in line.edges), line.duration,
+    return union_stream(line.edge_array, line.edge_array + window, line.duration,
                         on_before_start=False)
 
 
@@ -361,7 +370,11 @@ _NOISE_BLOCK = 1 << 16
 
 def add_noise(trace: OpticalTrace, noise: NoiseModel) -> OpticalTrace:
     """A copy of ``trace`` with the ambient offset and seeded Gaussian noise added."""
-    return _add_noise(trace, noise)
+    if noise.gaussian_sigma == 0 and noise.ambient_offset == 0:
+        return trace
+    out = trace.samples.copy()
+    _add_noise_into(out, noise)
+    return OpticalTrace._adopt(trace.sample_rate, out, trace.origin_time)
 
 
 def _gaussian_draw(noise: NoiseModel, n: int) -> np.ndarray | None:
@@ -371,22 +384,22 @@ def _gaussian_draw(noise: NoiseModel, n: int) -> np.ndarray | None:
     return None
 
 
-def _add_noise(trace: OpticalTrace, noise: NoiseModel, draw: np.ndarray | None = None,
-               in_place: bool = False) -> OpticalTrace:
-    """:func:`add_noise`, into the samples of a trace nothing else holds if
-    ``in_place``, taking the head of ``draw``, a longer :func:`_gaussian_draw`, if given."""
-    if noise.gaussian_sigma == 0 and noise.ambient_offset == 0:
-        return trace
-    out = trace._release() if in_place else trace.samples.copy()
-    out += noise.ambient_offset  # also 0.0, which turns -0.0 into 0.0
+def _add_noise_into(samples: np.ndarray, noise: NoiseModel,
+                    draw: np.ndarray | None = None) -> None:
+    """Add the noise of :func:`add_noise` into ``samples``, taking the head of
+    ``draw``, a longer :func:`_gaussian_draw`, if given."""
+    # Adding a zero offset changes only -0.0, into 0.0, and so does adding the
+    # draw: normal(0.0, sigma) computes 0.0 + sigma * z, never -0.0. So the
+    # offset pass runs only for a nonzero offset; no sigma and no offset add nothing.
+    if noise.ambient_offset:
+        samples += noise.ambient_offset
     if draw is not None:
-        out += draw[:out.size]
+        samples += draw[:samples.size]
     elif noise.gaussian_sigma > 0:
         rng = np.random.default_rng(noise.seed)
-        for lo in range(0, out.size, _NOISE_BLOCK):
-            block = out[lo:lo + _NOISE_BLOCK]
+        for lo in range(0, samples.size, _NOISE_BLOCK):
+            block = samples[lo:lo + _NOISE_BLOCK]
             block += rng.normal(0.0, noise.gaussian_sigma, size=block.size)
-    return OpticalTrace._adopt(trace.sample_rate, out, trace.origin_time)
 
 
 def _schedule_stream(schedule: tuple[tuple[float, int], ...], duration: float) -> LogicEventStream:
@@ -437,6 +450,8 @@ def synthesize_class(profile: DeviceProfile, data: bytes, noise: NoiseModel,
 
 def _synthesize(lit: LogicEventStream, led: LedModel, sample_rate: float, noise: NoiseModel,
                 draw: np.ndarray | None = None) -> OpticalTrace:
-    """``add_noise(led_transduce(lit, led, sample_rate), noise)``, with the
-    noise added into the fresh LED samples (see :func:`_add_noise`)."""
-    return _add_noise(led_transduce(lit, led, sample_rate), noise, draw, in_place=True)
+    """``add_noise(led_transduce(lit, led, sample_rate), noise)``, with the noise
+    added into the fresh LED samples, which are then checked finite once."""
+    samples = _led_samples(lit, led, sample_rate)
+    _add_noise_into(samples, noise, draw)
+    return OpticalTrace._adopt(sample_rate, samples)

@@ -84,9 +84,8 @@ def threshold_detect(trace: OpticalTrace, hysteresis_fraction: float = 0.2) -> L
         raise NoSignalError(f"no signal: flat trace (range {span:g})")
     mid = 0.5 * (lo_v + hi_v)
     half_band = 0.5 * hysteresis_fraction * span
-    marks = np.zeros(s.size, dtype=np.int8)
-    marks[s > mid + half_band] = 1
-    marks[s < mid - half_band] = -1
+    marks = (s > mid + half_band).view(np.int8)
+    marks -= s < mid - half_band
     state0 = 1 if s[0] >= mid else 0
     # Each run of equal marks outside the band flips the level if its side
     # differs from that of the last such run, or from state0.
@@ -270,7 +269,7 @@ def classify_trace(trace: OpticalTrace, reference: bytes, cfg: SerialConfig,
     # Close sub-window gaps between ON intervals: fast toggling collapses
     # into bursts without padding slow signals, so an envelope-shaped trace
     # maps onto itself.
-    trace_env = union_stream(events.intervals(1), events.duration,
+    trace_env = union_stream(*events.interval_bounds(1), events.duration,
                              events.initial_level == 1, gap=window)
     ref_env = activity_envelope(uart_encode(reference, cfg), window)
     grid = (0.0, trace.sample_rate, 0, trace.n_samples)
@@ -302,8 +301,9 @@ def bit_error_rate(sent: bytes, recovered: bytes) -> float:
     return errors / (8 * n)
 
 
-#: Samples binned per block: beside the int8 line levels, two blocks' worth of temporaries.
-_MI_BLOCK = 1 << 16
+#: Samples binned per block: beside the int8 line levels, one float64 block
+#: buffer, one code buffer and ``np.bincount``'s intp copy of a block.
+_MI_BLOCK = 1 << 15
 
 
 def leakage_mutual_information(trace: OpticalTrace, data_line: LogicEventStream,
@@ -330,15 +330,18 @@ def leakage_mutual_information(trace: OpticalTrace, data_line: LogicEventStream,
         return 0.0
     levels = _grid_levels(data_line, *grid, lo, hi)
     counts = np.zeros(bins * 2, np.int64)
+    block = np.empty(min(x.size, _MI_BLOCK))
+    codes = np.empty(block.size, np.min_scalar_type(2 * bins - 1))
     for b in range(0, x.size, _MI_BLOCK):
-        # bins * (x - lo_v) / span in its order, in place; one name frees each array.
-        xi = x[b:b + _MI_BLOCK] - lo_v
-        xi *= bins
-        xi /= span
-        xi = xi.astype(np.int64)
+        # bins * (x - lo_v) / span in its order, truncated (it lies in [0, bins]), in the buffers.
+        xb, xi = block[:x.size - b], codes[:x.size - b]
+        np.subtract(x[b:b + _MI_BLOCK], lo_v, out=xb)
+        xb *= bins
+        xb /= span
+        np.copyto(xi, xb, casting="unsafe")
         np.minimum(xi, bins - 1, out=xi)
         xi *= 2
-        xi += levels[b:b + _MI_BLOCK]
+        np.add(xi, levels[b:b + _MI_BLOCK], out=xi, casting="unsafe")
         counts += np.bincount(xi, minlength=bins * 2)
     joint = counts.reshape(bins, 2).astype(np.float64)
     n = joint.sum()

@@ -140,19 +140,19 @@ class LogicEventStream:
         out.__dict__.update(vars(self), initial_level=1 - self.initial_level)
         return out
 
+    def interval_bounds(self, level: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Starts and ends of the maximal intervals during which the stream
+        holds ``level``, as two float64 arrays; an empty one is left out."""
+        first = self.initial_level ^ level  # the first segment at ``level``: 0 or 1
+        bounds = np.concatenate(([0.0], self._edge_array, [self.duration]))
+        starts, ends = bounds[first:-1:2], bounds[first + 1::2]
+        keep = ends > starts
+        return starts[keep], ends[keep]
+
     def intervals(self, level: int = 1) -> list[tuple[float, float]]:
         """Maximal intervals during which the stream holds ``level``."""
-        out: list[tuple[float, float]] = []
-        prev = 0.0
-        cur = self.initial_level
-        for e in self.edges:
-            if cur == level and e > prev:
-                out.append((prev, e))
-            prev = e
-            cur ^= 1
-        if cur == level and self.duration > prev:
-            out.append((prev, self.duration))
-        return out
+        starts, ends = self.interval_bounds(level)
+        return list(zip(starts.tolist(), ends.tolist()))
 
     def shortest_pulse(self) -> float:
         """Shortest time between consecutive level flips (inf if < 2 edges)."""
@@ -205,11 +205,6 @@ class OpticalTrace:
         """A trace over ``samples``, a float64 array that nothing else holds:
         every check of construction, without the copy."""
         return cls(sample_rate, samples.view(_Fresh), origin_time)
-
-    def _release(self) -> np.ndarray:
-        """The samples, writable again, for the one holder of this trace: :meth:`_adopt` undone."""
-        self.samples.setflags(write=True)
-        return self.samples
 
 
 class _Fresh(np.ndarray):

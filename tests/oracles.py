@@ -275,6 +275,42 @@ def intervals_to_triple(intervals: list, duration: float,
     return initial, tuple(edges), duration
 
 
+def intervals_loop(line, level: int = 1) -> list[tuple[float, float]]:
+    """Maximal intervals at ``level``, one edge at a time; an empty one is skipped."""
+    out: list[tuple[float, float]] = []
+    prev = 0.0
+    cur = line.initial_level
+    for e in line.edges:
+        if cur == level and e > prev:
+            out.append((prev, e))
+        prev = e
+        cur ^= 1
+    if cur == level and line.duration > prev:
+        out.append((prev, line.duration))
+    return out
+
+
+def union_stream_loop(intervals, duration: float, on_before_start: bool,
+                      gap: float) -> tuple[int, tuple, float]:
+    """``emanation.union_stream`` one ``(start, end)`` pair at a time: a pair
+    joins the run so far when ``start - end <= gap``."""
+    edges: list[float] = []  # alternating start and end times; the last is the open end
+    for s, e in intervals:
+        if edges and s - edges[-1] <= gap:
+            edges[-1] = max(edges[-1], e)
+        else:
+            edges += (s, e)
+    if edges:
+        duration = max(duration, edges[-1])
+        if edges[-1] == duration:
+            edges.pop()
+    initial = 0
+    if on_before_start and edges and edges[0] == 0.0:
+        edges.pop(0)
+        initial = 1
+    return initial, tuple(edges), duration
+
+
 def pulse_stretch_loop(line, min_on: float) -> tuple[int, tuple, float]:
     """Pulse stretching, merging when ``s <= end + 1e-12``."""
     ivs = line.intervals(1)

@@ -590,7 +590,7 @@ class TestInputContract:
     ])
     def test_memory_error_exits_config(self, tmp_path, capsys, exc, message):
         out = tmp_path / "s"
-        with mock.patch("ledleak.emanation.led_transduce", side_effect=exc):
+        with mock.patch("ledleak.emanation._led_samples", side_effect=exc):
             code, stdout, err = run(capsys, "synth", "--out", str(out))
         assert (code, stdout) == (EXIT_CONFIG, "")
         assert err == f"error: {message}\n"
@@ -1042,6 +1042,68 @@ class TestOverflowingValues:
         assert _run_showing_warnings(capsys, *argv, "--out", str(out)) == (
             EXIT_CONFIG, "", f"error: a {duration} s line sampled at {rate} Hz puts samples "
             "too far before their edges: the LED response overflows\n")
+
+
+class TestNegativeExponentValues:
+    """A config flag followed by a number is that flag's value, also in
+    exponent form: argparse alone takes ``-1e-3`` for an option."""
+
+    @pytest.mark.parametrize("argv, joined", [
+        (("synth", "--offset", "-1e-3"), ("synth", "--offset=-1e-3")),
+        (("synth", "--offset", "-1E-3", "--sigma", "0.01"), ("synth", "--offset=-1E-3",
+                                                             "--sigma=0.01")),
+        (("diode", "--frames", "1", "--offset", "-1e-3"), ("diode", "--frames", "1",
+                                                           "--offset=-1e-3")),
+    ])
+    def test_same_run_as_the_equals_form(self, tmp_path, capsys, monkeypatch, argv, joined):
+        monkeypatch.chdir(tmp_path)
+        got = run(capsys, *argv, "--out", "a"), dir_bytes(tmp_path / "a")
+        want = run(capsys, *joined, "--out", "b"), dir_bytes(tmp_path / "b")
+        assert got[0][0] == EXIT_OK and got[0][2] == ""
+        assert (got[0][1].replace("a/", "b/"), got[1]) == (want[0][1], want[1])
+
+    @pytest.mark.parametrize("argv, err", [
+        # Failed before with "expected one argument"; now the value is checked.
+        (("synth", "--sigma", "-1e-3"),
+         "error: argument --sigma: gaussian_sigma must be >= 0 and finite, got -0.001\n"),
+        (("synth", "--offset", "-inf"),
+         "error: argument --offset: ambient_offset must be finite, got -inf\n"),
+        (("sweep-stretch", "--stretch-us", "-1e3"),
+         "error: argument --stretch-us: pulse_stretch must be >= 0 and finite, got -0.001\n"),
+        (("synth", "--seed", "-1e3"), "error: argument --seed: expected int, got '-1e3'\n"),
+        # Not joined: no number, a flag that takes no value, a flag of another command.
+        (("synth", "--offset", "-1e-3x"),
+         "error: ledleak synth: argument --offset: expected one argument\n"),
+        (("synth", "--offset", "--out", "o"),
+         "error: ledleak synth: argument --offset: expected one argument\n"),
+        (("diode", "--wired-back", "-1e-3"), "error: ledleak: unrecognized arguments: -1e-3\n"),
+        (("mac", "abort", "--abort-at", "-1e3", "0055"),
+         "error: ledleak mac abort: argument --abort-at: expected one argument\n"),
+    ])
+    def test_errors(self, tmp_path, capsys, monkeypatch, argv, err):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv) == (EXIT_CONFIG, "", err)
+        assert not (tmp_path / "o").exists()
+
+
+class TestCollapsedBitCells:
+    """A gap so long that the last octet's bit cells round onto one instant
+    is one error naming the octets, the baud and the gap."""
+
+    _ERR = ("error: 2 octets at baud 9600.0 with 100000000000000.0 s between octets "
+            "put bit cells on one instant\n")
+
+    def test_synth(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "synth", "--gap-ms", "1e17", "--data", "AB", "--out", "o") == (
+            EXIT_CONFIG, "", self._ERR)
+        assert not (tmp_path / "o").exists()
+
+    def test_classify_reference(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "synth", "--data", "AB", "--out", "o")[0] == EXIT_OK
+        assert run(capsys, "classify", "o/trace.optrace", "--gap-ms", "1e17", "--data", "AB") == (
+            EXIT_CONFIG, "", self._ERR)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,28 @@ class TestPhotodiodeReceive:
         assert volts[1] == pytest.approx(3.3 - 0.05 * 5e-4 * 1e4)
         assert volts[2] == 0.0  # clamped at ground
 
+    def test_node_stays_below_the_rail(self):
+        volts = ReceiverCircuit().node_voltage(np.array([-1.0, -1e308, 1e308]))
+        assert volts.tolist() == [3.3, 3.3, 0.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+           st.sampled_from([ReceiverCircuit(), ReceiverCircuit(supply_volts=5.0, pullup_ohms=4.7e3),
+                            ReceiverCircuit(logic_threshold_fraction=0.9, photocurrent_on=1e-6)]))
+    def test_node_range_and_logic(self, irradiance, rx):
+        """Any finite irradiance, a negative one too, puts the node in
+        ``[0, supply_volts]``, and the logic read is that of the node
+        clamped at ground alone."""
+        x = np.array(irradiance)
+        volts = rx.node_voltage(x)
+        assert ((0.0 <= volts) & (volts <= rx.supply_volts)).all()
+        with np.errstate(over="ignore"):
+            ground_only = np.maximum(rx.supply_volts - x * rx.photocurrent_on * rx.pullup_ohms, 0.0)
+        logic = ground_only >= rx.logic_threshold_fraction * rx.supply_volts
+        flips = np.flatnonzero(logic[1:] != logic[:-1]) + 1
+        got = photodiode_receive(OpticalTrace(1e3, x), rx)
+        assert (got.initial_level, got.edges) == (int(logic[0]), tuple((flips / 1e3).tolist()))
+
     def test_circuit_validation(self):
         with pytest.raises(ValueError):
             ReceiverCircuit(pullup_ohms=0)

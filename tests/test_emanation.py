@@ -14,6 +14,7 @@ import ledleak.emanation
 from ledleak.diode import DiodeLink, diode_send
 from ledleak.emanation import (
     MAX_SAMPLES,
+    MERGE_SLACK,
     DeviceProfile,
     _gaussian_draw,
     _synthesize,
@@ -45,6 +46,8 @@ from oracles import (
     trace_activity_loop,
     uart_cells,
     uart_edges_from_cells,
+    uart_encode_loop,
+    union_stream_loop,
 )
 
 from test_acceptance import _random_frames
@@ -99,6 +102,20 @@ class TestUartEncode:
         # second start bit lands one frame time (incl. gap) after the first
         falls = [t for k, t in enumerate(s.edges) if k % 2 == 0]
         assert falls[1] - falls[0] == pytest.approx(10 * BIT + gap)
+
+    @pytest.mark.parametrize("data, gap, ok", [
+        (b"AB", 1e14, False), (b"\xff\xff", 1e14, False), (b"A" * 3, 1e13, False),
+        (b"AB", 1e9, True), (b"A", 1e14, True), (b"", 1e14, True),
+    ])
+    def test_last_octet_cells_stay_distinct(self, data, gap, ok):
+        cfg = SerialConfig(idle_between_octets=gap)
+        if ok:
+            line = uart_encode(data, cfg)
+            assert (line.initial_level, line.edges, line.duration) == uart_encode_loop(data, cfg)
+        else:
+            with pytest.raises(ValueError, match=f"^{len(data)} octets at baud 9600.0 with "
+                               f"{gap} s between octets put bit cells on one instant$"):
+                uart_encode(data, cfg)
 
     def test_duration_overflow_refused_before_any_vector_work(self):
         cfg = SerialConfig(baud=1e-306)
@@ -459,7 +476,7 @@ class TestUnionStream:
     def test_classifier_envelope_matches_loop(self, stream_and_window):
         # The call classify_trace makes on the thresholded events.
         events, window = stream_and_window
-        env = union_stream(events.intervals(1), events.duration,
+        env = union_stream(*events.interval_bounds(1), events.duration,
                            events.initial_level == 1, gap=window)
         assert triple(env) == trace_activity_loop(events, window)
 
@@ -478,6 +495,54 @@ class TestUnionStream:
         min_on = 1e-4
         line = LogicEventStream(0, (1e-3, 1e-3 + 1e-6, 1e-3 + min_on + gap, 1.2e-3), 2e-3)
         assert len(apply_pulse_stretch(line, min_on).intervals(1)) == n_intervals
+
+    @given(st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, 2.0]),
+                              st.sampled_from([1e-13, 0.25, 0.5, 1.0, 2.5])), max_size=8),
+           st.sampled_from([0.0, 1.0, 2.5, 5.0]), st.booleans(),
+           st.sampled_from([0.0, MERGE_SLACK, 0.25, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_arrays_match_the_loop(self, pairs, duration, on_before_start, gap):
+        """Sorted starts (repeated, -0.0 beside 0.0), ends at or past any
+        earlier end or tying one, and an end at ``duration``: the running
+        maximum merges as the pair-at-a-time loop does, signed zeros included."""
+        pairs = sorted(pairs, key=lambda p: (p[0], str(p[0])))
+        starts = np.array([s for s, _ in pairs])
+        ends = np.array([s + n for s, n in pairs])
+        got = union_stream(starts, ends, duration, on_before_start, gap)
+        want = union_stream_loop(zip(starts.tolist(), ends.tolist()), duration,
+                                 on_before_start, gap)
+        assert repr(triple(got)) == repr(want)
+
+    @pytest.mark.parametrize("line, min_on", [
+        (LogicEventStream(1, (-0.0, 1e-3, 2e-3), 3e-3), 5e-4),  # OFF from -0.0
+        (LogicEventStream(0, (-0.0, 1e-3), 3e-3), 5e-4),  # ON from -0.0
+        (LogicEventStream(0, (1e-3, 2e-3), 2e-3), 5e-3),  # the last edge at duration
+        (LogicEventStream(0, (1e-3, 1.5e-3, 2e-3), 2e-3), 1e-4),
+        (LogicEventStream(0, (1e-3,), 1e-3), 5e-4),  # the only ON interval is empty
+    ])
+    def test_pulse_stretch_edge_cases(self, line, min_on):
+        assert repr(triple(apply_pulse_stretch(line, min_on))) == repr(
+            pulse_stretch_loop(line, min_on))
+
+    @pytest.mark.parametrize("line, window", [
+        (LogicEventStream(0, (-0.0, 1e-3), 2e-3), 5e-4),
+        (LogicEventStream(1, (0.0, 2e-3), 2e-3), 5e-4),  # an edge at 0 and at duration
+        # 1 + 1 and nextafter(1) + 1 both round to 2: the two ends tie.
+        (LogicEventStream(0, (1.0, float(np.nextafter(1.0, 2.0))), 3.0), 1.0),
+    ])
+    def test_activity_envelope_edge_cases(self, line, window):
+        assert repr(triple(activity_envelope(line, window))) == repr(
+            activity_envelope_loop(line, window))
+
+    @pytest.mark.parametrize("events, window", [
+        (LogicEventStream(0, (-0.0, 1e-3, 2e-3), 3e-3), 5e-4),
+        (LogicEventStream(1, (-0.0, 1e-3, 3e-3), 3e-3), 5e-4),
+        (LogicEventStream(1, (1e-3, 2e-3, 3e-3), 3e-3), 2e-3),
+    ])
+    def test_classifier_envelope_edge_cases(self, events, window):
+        env = union_stream(*events.interval_bounds(1), events.duration,
+                           events.initial_level == 1, gap=window)
+        assert repr(triple(env)) == repr(trace_activity_loop(events, window))
 
     def test_user_gap_is_not_float_residue(self):
         # 0x55 lights every other bit cell. 208.333 us is 0.33 ns short of two
@@ -561,6 +626,20 @@ class TestAddNoise:
         assert add_noise(tr, noise).samples.tobytes() == want
         assert synthesized(tr, noise).samples.tobytes() == want
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("offset", [0.0, -0.0, 0.25, -0.25])
+    def test_signed_zero_samples(self, sigma, offset):
+        """A zero offset adds no pass of its own: the draw turns -0.0 into 0.0
+        as the offset did, and no sigma and no offset leave -0.0 as it is."""
+        tr = OpticalTrace(1e4, np.array([-0.0, 0.0, -0.0, 1.0, -0.0, 0.5] * 3))
+        noise = NoiseModel(sigma, offset, 11)
+        want = add_noise_samples(tr, noise).tobytes()
+        assert add_noise(tr, noise).samples.tobytes() == want
+        assert synthesized(tr, noise).samples.tobytes() == want
+        longer = _gaussian_draw(noise, tr.n_samples + 3)
+        assert synthesized(tr, noise, longer).samples.tobytes() == want
+        assert (add_noise(tr, noise) is tr) == (sigma == 0 and offset == 0)
+
     @pytest.mark.parametrize("noise", [NoiseModel(0.05, 0.0, 3), NoiseModel(0.0, 0.25, 3),
                                        NoiseModel(0.05, 0.25, 3)])
     def test_never_writes_a_held_array(self, noise):
@@ -598,9 +677,9 @@ def synthesized(trace: OpticalTrace, noise: NoiseModel, draw=None) -> OpticalTra
     """``_synthesize`` over a fresh copy of ``trace``'s samples in place of
     the LED's, so any samples (signed zeros too) can stand for them."""
     def fresh(*args):
-        return OpticalTrace(trace.sample_rate, trace.samples)
+        return trace.samples.copy()
 
-    with mock.patch.object(ledleak.emanation, "led_transduce", side_effect=fresh):
+    with mock.patch.object(ledleak.emanation, "_led_samples", side_effect=fresh):
         return _synthesize(None, LedModel(), trace.sample_rate, noise, draw)
 
 

@@ -110,6 +110,22 @@ class TestThresholdDetect:
             got = threshold_detect(tr, hysteresis)
             assert (got.initial_level, got.edges, got.duration) == want
 
+    @pytest.mark.parametrize("hysteresis", [0.0, 0.2, 0.49])
+    def test_samples_on_the_band_edges(self, hysteresis):
+        """Samples exactly at ``mid`` and ``mid +- half_band`` lie inside the
+        band (the compares are strict), so they hold the level."""
+        lo, hi = -0.25, 1.0
+        mid, half_band = 0.5 * (lo + hi), 0.5 * hysteresis * (hi - lo)
+        upper, lower = mid + half_band, mid - half_band
+        samples = np.array([lo, upper, mid, lower, hi, lower, upper, mid, lower, lo, upper, hi,
+                            np.nextafter(upper, np.inf), lower, np.nextafter(lower, -np.inf),
+                            upper, mid, hi, lo])
+        for s in (samples, samples[2:], samples[::-1]):
+            tr = OpticalTrace(1e3, s)
+            got = threshold_detect(tr, hysteresis)
+            assert (got.initial_level, got.edges, got.duration) == threshold_detect_loop(
+                tr, hysteresis)
+
     @pytest.mark.parametrize("min_on_bits", [0, 10])
     def test_sweep_trace_matches_loop(self, min_on_bits):
         data = np.random.default_rng(101).bytes(1024)
@@ -529,7 +545,7 @@ class TestMutualInformationMatchesMask:
 
     @settings(max_examples=120, deadline=None)
     @given(grid_and_stream(), st.integers(0, 2**32 - 1),
-           st.sampled_from(["noise", "copy", "levels"]), st.sampled_from([2, 3, 16]))
+           st.sampled_from(["noise", "copy", "levels"]), st.sampled_from([2, 3, 16, 200]))
     def test_matches_mask(self, case, seed, kind, bins):
         grid, line = case
         rng = np.random.default_rng(seed)
@@ -545,7 +561,7 @@ class TestMutualInformationMatchesMask:
                 == _value_or_error(leakage_mutual_information_mask, trace, line, bins))
 
     @settings(max_examples=120, deadline=None)
-    @given(grid_and_stream(), st.integers(0, 2**32 - 1), st.sampled_from([2, 16]),
+    @given(grid_and_stream(), st.integers(0, 2**32 - 1), st.sampled_from([2, 16, 200]),
            st.integers(1, 70))
     def test_blocks_match_mask(self, case, seed, bins, block):
         """Any block size, so blocks split the overlap anywhere; signed
@@ -558,6 +574,22 @@ class TestMutualInformationMatchesMask:
         with mock.patch.object(ledleak.recovery, "_MI_BLOCK", block):
             got = _value_or_error(leakage_mutual_information, trace, line, bins)
         assert got == _value_or_error(leakage_mutual_information_mask, trace, line, bins)
+
+    @pytest.mark.parametrize("bins, code", [(2, np.uint8), (16, np.uint8), (128, np.uint8),
+                                            (129, np.uint16), (200, np.uint16)])
+    def test_every_bin_and_code_width(self, bins, code):
+        """Samples in every bin, on every bin edge and at the top of the
+        range, over several blocks: the codes, ``2 * bin + level``, take
+        the narrowest unsigned type that holds ``2 * bins - 1``."""
+        assert np.min_scalar_type(2 * bins - 1) == code
+        rng = np.random.default_rng(bins)
+        n = 3 * ledleak.recovery._MI_BLOCK + 17
+        samples = np.concatenate([np.arange(bins + 1) / bins, -0.0 * np.ones(3),
+                                  rng.random(n - bins - 4)])
+        trace = OpticalTrace(1e6, samples)
+        line = LogicEventStream(0, np.arange(1, 700) * 1.3e-4, n / 1e6)
+        assert leakage_mutual_information(trace, line, bins) == leakage_mutual_information_mask(
+            trace, line, bins)
 
     def test_peak_at_a_million_samples(self):
         """Binning holds the int8 line levels and two block-sized arrays:
