@@ -19,6 +19,12 @@ import pytest
 from ledleak import cli
 
 MAC_BUILD = ("mac", "build", "--dst", "aa:bb:cc:dd:ee:ff", "--src", "11:22:33:44:55:66")
+#: A ``--config`` file: its key for ``--class`` is ``emanation_class``.
+SYNTH_CONFIG = ("# Class II at 4800 baud\nemanation_class = II\ndata = HELLO\nbaud = 4800\n"
+                "sigma = 0.05\nseed = 3\n")
+#: The nibble string of an accepted frame, ``mac build --payload hi`` marshalled.
+NIBBLES = ("555555555555555daabbccddeeff11223344556680008696"
+           + "0" * 88 + "9a063d5f")
 
 #: name: (argv; the row run first, or ``None``; whether that row's stdout is
 #: piped in as stdin; files to write first; whether the row draws noise).
@@ -79,6 +85,17 @@ ROWS = {
     "reader nan sample": (("recover", "nan.optrace"), None, False,
                           {"nan.optrace": "# optrace v1 sample_rate_hz=10000.0 origin_s=0.0\n"
                                           "0.0\nnan\n1.0\n"}, False),
+    "synth config": (("synth", "--config", "c.cfg", "--out", "cfg"), None, False,
+                     {"c.cfg": SYNTH_CONFIG}, True),
+    "synth config class flag": (("synth", "--config", "c.cfg", "--class", "III", "--out", "cfg"),
+                                None, False, {"c.cfg": SYNTH_CONFIG}, True),
+    "diode config": (("diode", "--config", "d.cfg", "--out", "link"), None, False,
+                     {"d.cfg": "frames=3\nattenuation=0.5\nseed=7\n"}, False),
+    "config unknown key": (("synth", "--config", "u.cfg", "--out", "u"), None, False,
+                           {"u.cfg": "class=III\n"}, False),
+    "mac validate nibbles": (("mac", "validate", NIBBLES), None, False, {}, False),
+    "recover noisy hysteresis": (("recover", "noisy/trace.optrace", "--baud", "auto",
+                                  "--hysteresis", "0.3"), "synth III noisy", False, {}, True),
 }
 
 #: sha256 of empty output.
@@ -269,6 +286,51 @@ GOLDEN = {
         1,
         EMPTY,
         "a281ba988544b62782c8e42a4f5aae7aca5fd222d15f3e43ee6eec4a5f299351",
+        {}),
+    "synth config": (
+        0,
+        "0452e041fdbf27182e1cd6092dcd519dc2a6ea87b066d750c27e43486f5b527e",
+        EMPTY,
+        {
+            "cfg/events.optevents":
+                "cab570804969ad6c66030a6ee0440f931523e733181523f23369c1ddcc90c681",
+            "cfg/trace.optrace":
+                "9b61bf008f18451d80ea212dc0105ebe8d9fddade010869bdb18ebfab0a8d768",
+        }),
+    "synth config class flag": (
+        0,
+        "0452e041fdbf27182e1cd6092dcd519dc2a6ea87b066d750c27e43486f5b527e",
+        EMPTY,
+        {
+            "cfg/events.optevents":
+                "1d8661c94ced6e9a61bbc0f742bd160937d0f7e932aac09551d39c0ba906534d",
+            "cfg/trace.optrace":
+                "70e58d89e055f0bb8f1ddff915ae9abeb7082c4315432d2cdb0c0f9102d7bc62",
+        }),
+    "diode config": (
+        0,
+        "1d1899a23064b9eba791fe7eb10a34d96b0fda31ae5bae21cc356807d5e13b72",
+        EMPTY,
+        {
+            "link/emitted.optrace":
+                "33abd8ace09c53ad997b1c2767bc85ed27a7c4f0c5b2aeaa61d168ac133669cc",
+            "link/received.optrace":
+                "4b5e95400afe40069868e009050ff2fa35c83d961f2275d9247778dbf8c47b86",
+        }),
+    "config unknown key": (
+        1,
+        EMPTY,
+        "ca2cc5fe4b83902853f6a5675d0bf4edd9ce011e16653c3b7a3e47e169a5875c",
+        {}),
+    "mac validate nibbles": (
+        0,
+        "e92eec123d5a21f9aac5d57e249e5e1fd782c4ddecebbfa591b8b0e0952807b4",
+        EMPTY,
+        {}),
+    "recover noisy hysteresis": (
+        0,
+        "96b94fc3b0f1df7c5df9ad862d43d5a327b1e66e6ebe2b041b0da7be3248124e",
+        EMPTY,
         {}),
 }
 
