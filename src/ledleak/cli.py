@@ -10,6 +10,7 @@ files. Exit codes: 0 success, 1 usage/configuration/IO error, 2 no signal,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import sys
@@ -28,6 +29,29 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NO_SIGNAL = 2
 EXIT_ONE_WAY = 3
+
+#: glibc serves every block of this many bytes or more from a mapping of its
+#: own, returned to the system when freed: numpy's huge-page cut-off.
+MMAP_THRESHOLD = 4 << 20
+
+
+def _pin_mmap_threshold() -> None:
+    """Fix glibc's mmap threshold at :data:`MMAP_THRESHOLD` for the process.
+
+    Left to slide, glibc raises it to the size of each mapped block freed,
+    so later trace-sized arrays come from the heap, and whether one fits a
+    freed hole or grows the heap, and so a run's peak resident size,
+    depends on where small objects landed. No-op on another C library.
+    Called once, below: the command owns its process, the library does not.
+    """
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    if hasattr(libc, "gnu_get_libc_version"):
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt.restype = ctypes.c_int
+        libc.mallopt(-3, MMAP_THRESHOLD)  # -3 is M_MMAP_THRESHOLD
+
+
+_pin_mmap_threshold()
 
 
 @dataclass
@@ -324,13 +348,11 @@ def cmd_mac(args: argparse.Namespace) -> int:
     if action == "abort":
         print(mac.abort_transmission(stream, args.abort_at).to_string())
         return EXIT_OK
-    if action == "peek":
-        state = mac.PipelineState()
-        state.feed(stream.nibbles)
-        state.finish()
-        print(json.dumps(state.fields_valid, sort_keys=True))
-        return EXIT_OK
-    raise ConfigError(f"unknown mac action {action!r}")
+    state = mac.PipelineState()  # peek, the one action left
+    state.feed(stream.nibbles)
+    state.finish()
+    print(json.dumps(state.fields_valid, sort_keys=True))
+    return EXIT_OK
 
 
 def _deterministic_frames(count: int, seed: int) -> list[mac.EthernetFrame]:
@@ -461,13 +483,21 @@ def _warning(message, category, filename, lineno, file=None, line=None) -> None:
     print(f"warning: {str(message).translate(_LINE_BREAKS)}", file=sys.stderr)
 
 
-def _joined(argv: list[str]) -> list[str]:
-    """``argv`` with each config flag and a following number joined into
-    ``--flag=value``: argparse's negative-number pattern has no exponent,
-    so it would take ``-1e-3`` for an option."""
-    flags, out = set(map(_flag, _FIELD_TYPES)), []
+def _takes_one_value(parser: argparse.ArgumentParser, arg: str) -> bool:
+    """Whether ``arg`` is a one-value option of ``parser``, whole or as argparse abbreviates it."""
+    options = parser._option_string_actions
+    names = [arg] if arg in options else [s for s in options if s.startswith(arg)]
+    return arg.startswith("--") and len(names) == 1 and options[names[0]].nargs is None
+
+
+def _joined(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with each option that takes one value and a following number
+    joined into ``--flag=value``: argparse's negative-number pattern has no
+    exponent, so it would take ``-1e-3`` for an option. The options are
+    those of the subcommand named so far in ``argv``."""
+    out = []
     for arg in argv:
-        if out and out[-1] in flags:
+        if out and _takes_one_value(parser, out[-1]):
             try:
                 float(arg)
             except ValueError:
@@ -476,6 +506,8 @@ def _joined(argv: list[str]) -> list[str]:
                 out[-1] += "=" + arg
                 continue
         out.append(arg)
+        sub = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub[0].choices.get(arg, parser) if sub else parser
     return out
 
 
@@ -483,12 +515,13 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _warning
         try:
-            args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
+            parser = build_parser()
+            args = parser.parse_args(_joined(parser, sys.argv[1:] if argv is None else argv))
             return args.func(args)
         except (NoSignalError, EstimationError) as exc:
             _error(exc)
             return EXIT_NO_SIGNAL
-        except (ConfigError, ValueError, OSError, Warning, MemoryError) as exc:
+        except (ValueError, OSError, Warning, MemoryError) as exc:  # ConfigError included
             _error(exc)
             return EXIT_CONFIG
 

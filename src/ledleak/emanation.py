@@ -175,8 +175,8 @@ _SETTLE_MARGIN = float(np.log(4.0) + 1.0)
 _SWEEPS = 3
 #: Head samples per batch of whole segments: the head temporaries stay near
 #: 64 KiB (a single long head aside) rather than growing with all the head
-#: samples of an edge-dense line or a slow LED. Under a C library other than
-#: glibc, whose mmap threshold ``signals`` does not pin, small temporaries
+#: samples of an edge-dense line or a slow LED. Where the mmap threshold is
+#: not pinned (only ``cli`` pins it, and only on glibc), small temporaries
 #: also keep a sliding threshold from rising and lifting the peak RSS.
 _HEAD_BATCH = 8192
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -39,25 +38,19 @@ EVENTS_MAGIC = "# optevents v1"
 MAX_SAMPLE_EXPONENT = 495
 
 
-def _umask() -> int:
-    """The process umask: reading it means setting it, so set it straight back."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 @contextmanager
 def atomic_open(path: str | Path) -> Iterator[TextIO]:
     """A text handle on a temp file in the same directory, renamed into
     place when the block ends, so readers see the old file or the whole new
-    one; an exception removes the temp file instead. The file gets the mode
-    a plain ``open()`` would give it, ``0o666`` less the umask."""
+    one; an exception removes the temp file instead. The kernel applies the
+    umask to its mode ``0o666``, as for a plain ``open()``: the process umask
+    is never written. ``O_EXCL`` keeps it from replacing an existing file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -123,8 +123,8 @@ def estimate_baud(events: LogicEventStream, candidates: tuple[float, ...] | None
 
 
 #: Bit-centre levels read per block of candidate starts: temporaries stay
-#: near 64 KiB rather than growing with the edges of a noisy trace, and small
-#: enough for the reasons given at ``emanation._HEAD_BATCH``.
+#: near 64 KiB rather than growing with the edges of a noisy trace, small
+#: enough where ``cli`` has not pinned the mmap threshold (see ``emanation._HEAD_BATCH``).
 _DECODE_BATCH = 8192
 
 

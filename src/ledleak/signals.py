@@ -8,35 +8,11 @@ everything here is safe to share between threads.
 
 from __future__ import annotations
 
-import ctypes
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-
-#: glibc serves every block of this many bytes or more from a mapping of its
-#: own, returned to the system when freed: numpy's huge-page cut-off.
-MMAP_THRESHOLD = 4 << 20
-
-
-def _pin_mmap_threshold() -> None:
-    """Fix glibc's mmap threshold at :data:`MMAP_THRESHOLD` for the process.
-
-    Left to slide, glibc raises it to the size of each mapped block freed,
-    so later trace-sized arrays come from the heap, and whether one fits a
-    freed hole or grows the heap, and so a run's peak resident size,
-    depends on where small objects landed. No-op on another C library.
-    """
-    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
-    if hasattr(libc, "gnu_get_libc_version"):
-        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        libc.mallopt.restype = ctypes.c_int
-        libc.mallopt(-3, MMAP_THRESHOLD)  # -3 is M_MMAP_THRESHOLD
-
-
-_pin_mmap_threshold()
 
 #: Standard asynchronous serial rates used as default baud candidates.
 STANDARD_BAUDS = (300.0, 600.0, 1200.0, 2400.0, 4800.0, 9600.0, 14400.0,
@@ -148,11 +124,6 @@ class LogicEventStream:
         starts, ends = bounds[first:-1:2], bounds[first + 1::2]
         keep = ends > starts
         return starts[keep], ends[keep]
-
-    def intervals(self, level: int = 1) -> list[tuple[float, float]]:
-        """Maximal intervals during which the stream holds ``level``."""
-        starts, ends = self.interval_bounds(level)
-        return list(zip(starts.tolist(), ends.tolist()))
 
     def shortest_pulse(self) -> float:
         """Shortest time between consecutive level flips (inf if < 2 edges)."""

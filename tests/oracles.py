@@ -275,6 +275,12 @@ def intervals_to_triple(intervals: list, duration: float,
     return initial, tuple(edges), duration
 
 
+def intervals(line, level: int = 1) -> list[tuple[float, float]]:
+    """Maximal intervals during which ``line`` holds ``level``, as pairs of floats."""
+    starts, ends = line.interval_bounds(level)
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
 def intervals_loop(line, level: int = 1) -> list[tuple[float, float]]:
     """Maximal intervals at ``level``, one edge at a time; an empty one is skipped."""
     out: list[tuple[float, float]] = []
@@ -313,7 +319,7 @@ def union_stream_loop(intervals, duration: float, on_before_start: bool,
 
 def pulse_stretch_loop(line, min_on: float) -> tuple[int, tuple, float]:
     """Pulse stretching, merging when ``s <= end + 1e-12``."""
-    ivs = line.intervals(1)
+    ivs = intervals(line, 1)
     if min_on == 0 or not ivs:
         return line.initial_level, line.edges, line.duration
     merged: list[list[float]] = []
@@ -347,7 +353,7 @@ def activity_envelope_loop(line, window: float) -> tuple[int, tuple, float]:
 def trace_activity_loop(events, window: float) -> tuple[int, tuple, float]:
     """Classifier envelope: ON intervals with gaps ``s - end <= window`` closed."""
     merged: list[list[float]] = []
-    for s, e in events.intervals(1):
+    for s, e in intervals(events, 1):
         if merged and s - merged[-1][1] <= window:
             merged[-1][1] = e
         else:

@@ -1,9 +1,13 @@
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -1077,13 +1081,68 @@ class TestNegativeExponentValues:
         (("synth", "--offset", "--out", "o"),
          "error: ledleak synth: argument --offset: expected one argument\n"),
         (("diode", "--wired-back", "-1e-3"), "error: ledleak: unrecognized arguments: -1e-3\n"),
+        # A ``mac`` value flag is joined too; its value is then refused by its own type.
         (("mac", "abort", "--abort-at", "-1e3", "0055"),
-         "error: ledleak mac abort: argument --abort-at: expected one argument\n"),
+         "error: ledleak mac abort: argument --abort-at: invalid int value: '-1e3'\n"),
+        (("mac", "abort", "--abort", "-1e3", "0055"),
+         "error: ledleak mac abort: argument --abort-at: invalid int value: '-1e3'\n"),
+        (("diode", "--wired-back", "-1", "--frames", "0"),
+         "error: ledleak: unrecognized arguments: -1\n"),
+        (("diode", "--wired", "-1e-3"), "error: ledleak: unrecognized arguments: -1e-3\n"),
+        # Ambiguous prefixes stay as given, for argparse to refuse.
+        (("synth", "--s", "-1e-3"),
+         "error: ledleak synth: ambiguous option: --s could match --seed, --sigma, "
+         "--sample-rate\n"),
+        (("recover", "t.optrace", "--h", "0.3"),
+         "error: ledleak recover: ambiguous option: --h could match --help, --hysteresis\n"),
     ])
     def test_errors(self, tmp_path, capsys, monkeypatch, argv, err):
         monkeypatch.chdir(tmp_path)
         assert run(capsys, *argv) == (EXIT_CONFIG, "", err)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, joined", [
+        (("synth", "--off", "-1e-3"), ("synth", "--off=-1e-3")),
+        (("synth", "--sa", "-1e3"), ("synth", "--sa=-1e3")),
+        (("synth", "--data", "1e3"), ("synth", "--data=1e3")),
+        (("classify", "t", "--w", "-1e-3"), ("classify", "t", "--w=-1e-3")),
+        (("recover", "t", "--hy", "-1e-3"), ("recover", "t", "--hy=-1e-3")),
+        (("mac", "abort", "--abort", "-1e3", "0055"), ("mac", "abort", "--abort=-1e3", "0055")),
+        (("mac", "build", "--payload-h", "00"), ("mac", "build", "--payload-h=00")),
+        # Not joined: a flag that takes no value, an ambiguous prefix, no number,
+        # an option of another command.
+        (("synth", "--he", "1"), ("synth", "--he", "1")),
+        (("diode", "--w", "-1e-3"), ("diode", "--w", "-1e-3")),
+        (("mac", "build", "--pay", "-1e3"), ("mac", "build", "--pay", "-1e3")),
+        (("synth", "--offset", "-1e-3x"), ("synth", "--offset", "-1e-3x")),
+        (("synth", "--payload", "-1e3"), ("synth", "--payload", "-1e3")),
+        (("mac", "build", "--offset", "-1e3"), ("mac", "build", "--offset", "-1e3")),
+    ])
+    def test_joined(self, argv, joined):
+        assert cli._joined(build_parser(), list(argv)) == list(joined)
+
+    @pytest.mark.parametrize("command", ["synth", "recover", "classify", "sweep-stretch",
+                                         "diode", "mac build", "mac abort"])
+    def test_every_value_option_is_joined(self, command):
+        words = command.split()
+        for flag in sorted(_OPTION_STRINGS[command]):
+            if flag.startswith("-") and flag not in ("-h", "--help", "--wired-back"):
+                assert cli._joined(build_parser(), [*words, flag, "-1e-3"]) == [
+                    *words, flag + "=-1e-3"]
+
+    def test_abbreviated_flag_is_the_equals_form(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        first = run(capsys, "synth", "--off", "-1e-3", "--out", "o"), dir_bytes(tmp_path / "o")
+        second = run(capsys, "synth", "--offset=-1e-3", "--out", "o"), dir_bytes(tmp_path / "o")
+        assert first == second
+        assert first[0] == (EXIT_OK, "o/trace.optrace\no/events.optevents\n", "")
+
+    def test_negative_payload_builds_a_frame(self, capsys):
+        argv = ("mac", "build", "--dst", "aa:bb:cc:dd:ee:ff", "--src", "11:22:33:44:55:66")
+        frame = mac.build_frame(bytes.fromhex("aabbccddeeff"), bytes.fromhex("112233445566"),
+                                0x0800, b"-1e3")
+        assert run(capsys, *argv, "--payload", "-1e3") == (
+            EXIT_OK, formats.octets_to_hexline(frame.serialize()) + "\n", "")
 
 
 class TestCollapsedBitCells:
@@ -1256,3 +1315,58 @@ class TestFlagTable:
             main([command, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: ledleak {command} ")
+
+
+#: A fresh interpreter records every ``ctypes.CDLL`` built while it imports
+#: the package and its library modules, then while it imports ``cli``.
+_CDLL_SPY = """
+import ctypes, json
+import numpy
+made = []
+class Spy(ctypes.CDLL):
+    def __init__(self, name, *args, **kwargs):
+        made.append(name)
+        super().__init__(name, *args, **kwargs)
+ctypes.CDLL = Spy
+import ledleak, ledleak.signals, ledleak.emanation, ledleak.recovery
+import ledleak.mac, ledleak.diode, ledleak.formats
+library = list(made)
+import ledleak.cli
+print(json.dumps([library, made[len(library):]]))
+"""
+
+
+def test_only_the_command_pins_the_allocator():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", _CDLL_SPY], env=env, capture_output=True,
+                          text=True, check=True)
+    linux = sys.platform.startswith("linux")
+    assert (json.loads(done.stdout), done.stderr) == ([[], [None] if linux else []], "")
+
+
+_LIBC = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def _mapped_bytes() -> int:
+    _LIBC.mallinfo2.argtypes = ()
+    _LIBC.mallinfo2.restype = _Mallinfo2
+    return _LIBC.mallinfo2().hblkhd
+
+
+@pytest.mark.skipif(not hasattr(_LIBC, "mallinfo2"), reason="needs glibc 2.33 or later")
+def test_trace_sized_array_mapped_after_one_freed():
+    # Importing ``cli`` pinned the threshold. Unpinned, glibc would raise it
+    # past 8 MiB on this free and serve the next array from the heap.
+    first = np.ones(2**20)
+    del first
+    before = _mapped_bytes()
+    second = np.ones(2**20)
+    assert _mapped_bytes() - before >= second.nbytes

@@ -39,6 +39,7 @@ from oracles import (
     add_noise_samples,
     envelope_intervals,
     exp_approach,
+    intervals,
     led_transduce_loop,
     level_at,
     pulse_stretch_loop,
@@ -324,14 +325,14 @@ class TestPulseStretch:
     def test_short_pulse_becomes_min_on(self):
         line = LogicEventStream(0, (1e-3, 1e-3 + 1e-6), 2e-3)
         out = apply_pulse_stretch(line, 50e-3)
-        assert out.intervals(1) == [(1e-3, 1e-3 + 50e-3)]
+        assert intervals(out, 1) == [(1e-3, 1e-3 + 50e-3)]
         assert out.duration == pytest.approx(51e-3)
 
     def test_two_pulses_merge(self):
         # two 1 us pulses, starts 10 ms apart, stretched to 50 ms -> one 60 ms blob
         line = LogicEventStream(0, (0.0, 1e-6, 10e-3, 10e-3 + 1e-6), 20e-3)
         out = apply_pulse_stretch(line, 50e-3)
-        ivs = out.intervals(1)
+        ivs = intervals(out, 1)
         assert len(ivs) == 1
         assert ivs[0][1] - ivs[0][0] == pytest.approx(60e-3)
 
@@ -348,8 +349,8 @@ class TestPulseStretch:
                 t = b
             line = LogicEventStream(0, tuple(edges), edges[-1] + 1e-3)
             min_on = float(rng.uniform(1e-4, 5e-3))
-            expected = stretch_intervals(line.intervals(1), min_on)
-            got = apply_pulse_stretch(line, min_on).intervals(1)
+            expected = stretch_intervals(intervals(line, 1), min_on)
+            got = intervals(apply_pulse_stretch(line, min_on), 1)
             assert len(got) == len(expected)
             for (gs, ge), (es, ee) in zip(got, expected):
                 assert gs == pytest.approx(es)
@@ -372,7 +373,7 @@ class TestPulseStretch:
     def test_stretched_intervals_meet_min_on(self):
         line = uart_encode(b"\x55\x00\xff\x12", CFG).invert()
         out = apply_pulse_stretch(line, 2 * BIT)
-        for s, e in out.intervals(1):
+        for s, e in intervals(out, 1):
             assert e - s >= 2 * BIT - 1e-12
 
     def test_negative_rejected(self):
@@ -400,7 +401,7 @@ class TestActivityEnvelope:
         window = 10e-3
         line = uart_encode(b"\xa5", CFG)
         env = activity_envelope(line, window)
-        ivs = env.intervals(1)
+        ivs = intervals(env, 1)
         assert len(ivs) == 1
         expected = envelope_intervals(list(line.edges), window)
         assert ivs[0][0] == pytest.approx(expected[0][0])
@@ -412,7 +413,7 @@ class TestActivityEnvelope:
         cfg = SerialConfig(baud=9600, idle_between_octets=1.0)
         line = uart_encode(b"\xa5\xa5", cfg)
         env = activity_envelope(line, 10e-3)
-        assert len(env.intervals(1)) == 2
+        assert len(intervals(env, 1)) == 2
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -494,7 +495,7 @@ class TestUnionStream:
         # A gap under MERGE_SLACK is float residue and closes; one over it stays.
         min_on = 1e-4
         line = LogicEventStream(0, (1e-3, 1e-3 + 1e-6, 1e-3 + min_on + gap, 1.2e-3), 2e-3)
-        assert len(apply_pulse_stretch(line, min_on).intervals(1)) == n_intervals
+        assert len(intervals(apply_pulse_stretch(line, min_on), 1)) == n_intervals
 
     @given(st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, 2.0]),
                               st.sampled_from([1e-13, 0.25, 0.5, 1.0, 2.5])), max_size=8),
@@ -548,11 +549,11 @@ class TestUnionStream:
         # 0x55 lights every other bit cell. 208.333 us is 0.33 ns short of two
         # bit times at 9600 baud: a user-chosen gap, kept. 2 * BIT closes all.
         line = uart_encode(b"\x55", CFG).invert()
-        ivs = apply_pulse_stretch(line, 208.333e-6).intervals(1)
+        ivs = intervals(apply_pulse_stretch(line, 208.333e-6), 1)
         gaps = [b[0] - a[1] for a, b in zip(ivs, ivs[1:])]
         assert len(gaps) == 4
         assert all(0.3e-9 < g < 0.4e-9 for g in gaps)
-        assert len(apply_pulse_stretch(line, 2 * BIT).intervals(1)) == 1
+        assert len(intervals(apply_pulse_stretch(line, 2 * BIT), 1)) == 1
 
 
 # ---------------------------------------------------------------------------

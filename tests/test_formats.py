@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ledleak import cli
 from ledleak.formats import (
     atomic_open,
     hexline_to_octets,
@@ -422,3 +423,40 @@ class TestAtomicWrite:
             os.umask(previous)
         assert stat.S_IMODE((tmp_path / "t.optrace").stat().st_mode) == mode
         assert stat.S_IMODE((tmp_path / "f.txt").stat().st_mode) == mode
+
+    def test_umask_never_written(self, tmp_path, monkeypatch):
+        def refuse(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        write_text(tmp_path / "f.txt", "one")
+        write_trace(tmp_path / "t.optrace", OpticalTrace(100.0, np.array([0.5])))
+        with trace_writer(tmp_path / "w.optrace", 100.0) as append:
+            append(np.array([0.25]))
+        write_events(tmp_path / "e.optevents", LogicEventStream(0, (0.5,), 1.0))
+        assert cli.main(["sweep-stretch", "--data", "A", "--stretch-us", "0",
+                         "--sample-rate", "1000", "--out", str(tmp_path / "s")]) == 0
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "e.optevents", "f.txt", "s", "s/sweep_stretch.csv", "t.optrace", "w.optrace"]
+
+    def test_failed_rename_removes_temp(self, tmp_path, monkeypatch):
+        p = tmp_path / "f.txt"
+        write_text(p, "one")
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            write_text(p, "two")
+        assert [q.name for q in tmp_path.iterdir()] == ["f.txt"]
+        assert p.read_text() == "one"
+
+    def test_temp_name_taken_is_an_error_not_an_overwrite(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+        squatter = tmp_path / ("f.txt" + "00" * 8 + ".tmp")
+        squatter.write_text("someone else's")
+        with pytest.raises(FileExistsError):
+            write_text(tmp_path / "f.txt", "two")
+        assert [q.name for q in tmp_path.iterdir()] == [squatter.name]
+        assert squatter.read_text() == "someone else's"
