@@ -1049,8 +1049,9 @@ class TestOverflowingValues:
 
 
 class TestNegativeExponentValues:
-    """A config flag followed by a number is that flag's value, also in
-    exponent form: argparse alone takes ``-1e-3`` for an option."""
+    """An option that takes one value, named in full or abbreviated, and a
+    following number is that option's value, also in exponent form:
+    argparse alone takes ``-1e-3`` for an option."""
 
     @pytest.mark.parametrize("argv, joined", [
         (("synth", "--offset", "-1e-3"), ("synth", "--offset=-1e-3")),
@@ -1058,6 +1059,7 @@ class TestNegativeExponentValues:
                                                              "--sigma=0.01")),
         (("diode", "--frames", "1", "--offset", "-1e-3"), ("diode", "--frames", "1",
                                                            "--offset=-1e-3")),
+        (("synth", "--off", "-1e-3"), ("synth", "--offset=-1e-3")),
     ])
     def test_same_run_as_the_equals_form(self, tmp_path, capsys, monkeypatch, argv, joined):
         monkeypatch.chdir(tmp_path)
@@ -1109,12 +1111,11 @@ class TestNegativeExponentValues:
         (("recover", "t", "--hy", "-1e-3"), ("recover", "t", "--hy=-1e-3")),
         (("mac", "abort", "--abort", "-1e3", "0055"), ("mac", "abort", "--abort=-1e3", "0055")),
         (("mac", "build", "--payload-h", "00"), ("mac", "build", "--payload-h=00")),
-        # Not joined: a flag that takes no value, an ambiguous prefix, no number,
-        # an option of another command.
+        # Not joined: a flag that takes no value, an ambiguous prefix, an option
+        # of another command.
         (("synth", "--he", "1"), ("synth", "--he", "1")),
         (("diode", "--w", "-1e-3"), ("diode", "--w", "-1e-3")),
         (("mac", "build", "--pay", "-1e3"), ("mac", "build", "--pay", "-1e3")),
-        (("synth", "--offset", "-1e-3x"), ("synth", "--offset", "-1e-3x")),
         (("synth", "--payload", "-1e3"), ("synth", "--payload", "-1e3")),
         (("mac", "build", "--offset", "-1e3"), ("mac", "build", "--offset", "-1e3")),
     ])
@@ -1129,13 +1130,6 @@ class TestNegativeExponentValues:
             if flag.startswith("-") and flag not in ("-h", "--help", "--wired-back"):
                 assert cli._joined(build_parser(), [*words, flag, "-1e-3"]) == [
                     *words, flag + "=-1e-3"]
-
-    def test_abbreviated_flag_is_the_equals_form(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        first = run(capsys, "synth", "--off", "-1e-3", "--out", "o"), dir_bytes(tmp_path / "o")
-        second = run(capsys, "synth", "--offset=-1e-3", "--out", "o"), dir_bytes(tmp_path / "o")
-        assert first == second
-        assert first[0] == (EXIT_OK, "o/trace.optrace\no/events.optevents\n", "")
 
     def test_negative_payload_builds_a_frame(self, capsys):
         argv = ("mac", "build", "--dst", "aa:bb:cc:dd:ee:ff", "--src", "11:22:33:44:55:66")
