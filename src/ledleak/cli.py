@@ -15,6 +15,7 @@ import dataclasses
 import json
 import sys
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
@@ -91,7 +92,8 @@ class ExperimentConfig:
         cfg = cls()
         for key, value in values.items():
             if key not in _FIELD_TYPES:
-                raise ConfigError(f"unknown config key {key!r}")
+                hint = {_flag(k)[2:]: f" (the key for {_flag(k)} is {k!r})" for k in _FIELD_TYPES}
+                raise ConfigError(f"unknown config key {key!r}{hint.get(key, '')}")
             setattr(cfg, key, _cast(key, value, f"config key {key!r} in {path}"))
         return cfg
 
@@ -126,11 +128,6 @@ def _hex_octets(text: str) -> bytes:
         raise ConfigError(f"expected hex octets, got {text!r}") from None
 
 
-def _frames(count: int) -> None:
-    if count < 0:
-        raise ConfigError("frames must be >= 0")
-
-
 #: Per key, a check of its cast value: most build the model the key
 #: configures, so each range is written once, in that model.
 _CHECKS = {
@@ -144,7 +141,7 @@ _CHECKS = {
     "sample_rate": lambda v: OpticalTrace(v, ()),
     "hysteresis": lambda v: recovery.threshold_detect(OpticalTrace(1.0, (0.0, 1.0)), v),
     "attenuation": lambda v: diode.DiodeLink(channel_attenuation=v),
-    "frames": _frames,
+    "frames": lambda v: _deterministic_frames(v, 0),
     "emanation_class": emanation.EmanationClass.from_label,
     "data_hex": _hex_octets,
 }
@@ -179,9 +176,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _payload_octets(cfg: ExperimentConfig) -> bytes:
-    if cfg.data_hex:
-        return _hex_octets(cfg.data_hex)
-    return cfg.data.encode()
+    return _hex_octets(cfg.data_hex) if cfg.data_hex else cfg.data.encode()
 
 
 def _serial_config(cfg: ExperimentConfig) -> SerialConfig:
@@ -355,16 +350,25 @@ def cmd_mac(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _deterministic_frames(count: int, seed: int) -> list[mac.EthernetFrame]:
-    rng = np.random.default_rng(seed)
-    frames = []
-    for _ in range(count):
-        dst = bytes(rng.integers(0, 256, size=6, dtype=np.uint8))
-        src = bytes(rng.integers(0, 256, size=6, dtype=np.uint8))
-        size = int(rng.integers(0, 129))
-        payload = bytes(rng.integers(0, 256, size=size, dtype=np.uint8))
-        frames.append(mac.build_frame(dst, src, 0x0800, payload))
-    return frames
+@dataclass(frozen=True)
+class _deterministic_frames:
+    """``count`` frames drawn from ``seed`` afresh on each pass: one is held at a time."""
+
+    count: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ValueError("frames must be >= 0")
+
+    def __iter__(self) -> Iterator[mac.EthernetFrame]:
+        rng = np.random.default_rng(self.seed)
+        for _ in range(self.count):
+            dst = bytes(rng.integers(0, 256, size=6, dtype=np.uint8))
+            src = bytes(rng.integers(0, 256, size=6, dtype=np.uint8))
+            size = int(rng.integers(0, 129))
+            payload = bytes(rng.integers(0, 256, size=size, dtype=np.uint8))
+            yield mac.build_frame(dst, src, 0x0800, payload)
 
 
 def cmd_diode(args: argparse.Namespace) -> int:
@@ -385,7 +389,7 @@ def cmd_diode(args: argparse.Namespace) -> int:
                 write_received(arrived.samples)
                 yield emitted, arrived, result
 
-        report, _ = diode.link_report(written(diode.link_frames(frames, link, noise)))
+        report = diode.link_report(written(diode.link_frames(frames, link, noise)))
     print(json.dumps(report.to_dict(), sort_keys=True))
 
     evidence = diode.assert_unidirectional(report, link, diode.standard_adversaries(),

@@ -174,15 +174,14 @@ class LinkReport:
 class ReceiverPort:
     """Receive-side surface of one link run.
 
-    Adversarial programs operate here: they may read everything, inject
-    octets into the decode buffer of the next frame, and attempt writes.
-    Nothing on this object feeds the emitter.
+    Adversarial programs operate here: they may read everything (``decoded``
+    is the last frame's octets), inject octets into the decode buffer of the
+    next frame, and attempt writes. Nothing on this object feeds the emitter.
     """
 
     def __init__(self, rx: ReceiverCircuit) -> None:
         self.rx = rx
-        self.decoded: list[bytes] = []
-        self.accepted = 0
+        self.decoded = b""
         self.injected_total = 0
         self._pending = bytearray()
 
@@ -195,13 +194,9 @@ class ReceiverPort:
         self._pending.clear()
         return out
 
-    def record(self, octets: bytes, result: ValidationResult) -> None:
-        self.decoded.append(octets)
-        self.accepted += result.accepted
-
     def snapshot(self) -> dict:
-        """Everything the port exposes, in O(1): ``decoded`` is the live list."""
-        return {"decoded": self.decoded, "accepted": self.accepted, "rx": self.rx}
+        """Everything the port exposes."""
+        return {"decoded": self.decoded, "rx": self.rx}
 
 
 def _emit_frame(octets: bytes, serial_cfg: SerialConfig, tx_led: LedModel,
@@ -257,7 +252,7 @@ def link_frames(frames: Iterable[EthernetFrame], link: DiodeLink, noise: NoiseMo
         decode = uart_decode(line, link.serial_cfg)
         octets = port.take_injected() + decode.octets
         result = validate_frame(MiiNibbleStream(octets_to_nibbles(octets)))
-        port.record(decode.octets, result)
+        port.decoded = decode.octets
 
         if rx_program is not None:
             rx_program(port, index)
@@ -267,29 +262,33 @@ def link_frames(frames: Iterable[EthernetFrame], link: DiodeLink, noise: NoiseMo
 
 
 def link_report(runs: Iterable[tuple[OpticalTrace, OpticalTrace, ValidationResult]]
-                ) -> tuple[LinkReport, list[EthernetFrame]]:
-    """Tally :func:`link_frames` output: the report, whose digest covers the
-    light as emitted, before the channel, and the accepted frames."""
+                ) -> LinkReport:
+    """Tally :func:`link_frames` output. The report's digest covers the
+    light as emitted, before the channel."""
     digest = hashlib.sha256()
-    accepted: list[EthernetFrame] = []
     reasons: Counter = Counter()
     for emitted, _, result in runs:
         digest.update(emitted.samples)
-        if result.accepted:
-            accepted.append(result.frame)
-        else:
-            reasons[result.reason] += 1
+        reasons[result.reason] += 1
+    accepted = reasons.pop(None, 0)  # an accepted frame has no reason
     rejected = reasons.total()
-    report = LinkReport(len(accepted) + rejected, len(accepted), rejected,
-                        tuple(sorted(reasons.items())), digest.hexdigest())
-    return report, accepted
+    return LinkReport(accepted + rejected, accepted, rejected,
+                      tuple(sorted(reasons.items())), digest.hexdigest())
 
 
-def diode_send(frames: list[EthernetFrame], link: DiodeLink, noise: NoiseModel,
+def diode_send(frames: Iterable[EthernetFrame], link: DiodeLink, noise: NoiseModel,
                rx_program=None) -> tuple[LinkReport, list[EthernetFrame]]:
     """Send frames across the link and tally what survives:
     ``(report, accepted_frames)``."""
-    return link_report(link_frames(frames, link, noise, rx_program))
+    accepted: list[EthernetFrame] = []
+
+    def collected(runs):
+        for run in runs:
+            if run[2].accepted:
+                accepted.append(run[2].frame)
+            yield run
+
+    return link_report(collected(link_frames(frames, link, noise, rx_program))), accepted
 
 
 @dataclass(frozen=True)
@@ -302,8 +301,8 @@ class UnidirectionalEvidence:
 
 
 def assert_unidirectional(baseline: LinkReport, link: DiodeLink, adversaries: Iterable,
-                          frames: list[EthernetFrame], noise: NoiseModel) -> UnidirectionalEvidence:
-    """Empirical one-way check over a fixed frame set and seed.
+                          frames: Iterable, noise: NoiseModel) -> UnidirectionalEvidence:
+    """Empirical one-way check over a fixed, re-iterable frame set and seed.
 
     ``baseline`` is the report of a run with no receive-side program. Runs
     the link once per adversarial receive-side program, stopping at the
@@ -312,10 +311,12 @@ def assert_unidirectional(baseline: LinkReport, link: DiodeLink, adversaries: It
     is bit-identical and the audit holds; receive-side activity must not be
     able to influence the light.
     """
+    if iter(frames) is frames:
+        raise TypeError("frames must be re-iterable: each adversary's run sends them again")
     audit = interface_partition_audit()
     digest = baseline.emitter_trace_digest
     for adversary in adversaries:
-        adversarial, _ = diode_send(frames, link, noise, rx_program=adversary)
+        adversarial = link_report(link_frames(frames, link, noise, rx_program=adversary))
         if not (audit and adversarial.emitter_trace_digest == digest):
             return UnidirectionalEvidence(False, audit, digest, adversarial.emitter_trace_digest,
                                           adversary.__name__)
@@ -343,7 +344,6 @@ def poke_receive_interface(port: ReceiverPort, frame_index: int) -> None:
     except Exception:
         pass
     port.inject(b"\x00")
-    port.accepted = 0
 
 
 def standard_adversaries() -> tuple:
@@ -366,7 +366,7 @@ class WiredBackLink(DiodeLink):
 
         def bias(port: ReceiverPort) -> float:
             nonlocal seen
-            seen += port.injected_total + len(port.decoded[-1])
+            seen += port.injected_total + len(port.decoded)
             return 1e-3 * seen
 
         return bias

@@ -46,7 +46,7 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
     umask to its mode ``0o666``, as for a plain ``open()``: the process umask
     is never written. ``O_EXCL`` keeps it from replacing an existing file."""
     path = Path(path)
-    tmp = path.with_name(f"{path.name}{os.urandom(8).hex()}.tmp")
+    tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")  # fits whatever ``path.name`` fits
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

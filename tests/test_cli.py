@@ -516,6 +516,29 @@ class TestDiodeCli:
             peaks.append(peak)
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
+    def test_bookkeeping_does_not_grow_with_frames(self, tmp_path, capsys, monkeypatch):
+        """With the light stubbed out, what a run keeps besides its traces
+        shows: no frame list, no accepted frames, no receive history."""
+        light = OpticalTrace(1.0, ())  # no text waits in the trace files' buffers
+
+        def cheap_runs(frames, link, noise, rx_program=None):
+            for frame in frames:
+                yield light, light, mac.ValidationResult(True, frame, None)
+
+        monkeypatch.setattr(diode, "link_frames", cheap_runs)
+        peaks = []
+        for frames in (1_000, 10_000):
+            tracemalloc.start()
+            try:
+                code, _, err = run(capsys, "diode", "--frames", str(frames),
+                                   "--out", str(tmp_path / str(frames)))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK, err
+            peaks.append(peak)
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
     def test_failure_mid_run_leaves_no_files(self, tmp_path, capsys):
         decode = diode.uart_decode
         calls = 0
@@ -542,7 +565,18 @@ class TestExperimentConfig:
         path = tmp_path / "exp.cfg"
         path.write_text("bogus=1\n")
         from ledleak.errors import ConfigError
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^unknown config key 'bogus'$"):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("flag", [cli._flag(key) for key in cli._FIELD_TYPES
+                                      if cli._flag(key)[2:] != key])
+    def test_flag_name_as_key_names_the_key(self, tmp_path, flag):
+        key = flag[2:]
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{key}=1\n")
+        wanted = "emanation_class" if key == "class" else key.replace("-", "_")
+        with pytest.raises(ConfigError, match=(f"^unknown config key '{key}' "
+                                               f"\\(the key for {flag} is '{wanted}'\\)$")):
             ExperimentConfig.from_file(path)
 
     @pytest.mark.parametrize("line", ["seed=abc", "sigma=0.1.2", "frames=1.5"])

@@ -320,7 +320,7 @@ GOLDEN = {
     "config unknown key": (
         1,
         EMPTY,
-        "ca2cc5fe4b83902853f6a5675d0bf4edd9ce011e16653c3b7a3e47e169a5875c",
+        "c671e18e84553fd46162c4e194f18ba62901cf77e188461a4905b104bcdb0206",
         {}),
     "mac validate nibbles": (
         0,

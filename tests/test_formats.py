@@ -454,9 +454,17 @@ class TestAtomicWrite:
 
     def test_temp_name_taken_is_an_error_not_an_overwrite(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
-        squatter = tmp_path / ("f.txt" + "00" * 8 + ".tmp")
+        squatter = tmp_path / ("." + "00" * 8 + ".tmp")
         squatter.write_text("someone else's")
         with pytest.raises(FileExistsError):
             write_text(tmp_path / "f.txt", "two")
         assert [q.name for q in tmp_path.iterdir()] == [squatter.name]
         assert squatter.read_text() == "someone else's"
+
+    def test_longest_file_name(self, tmp_path):
+        # the temp file's name has a fixed length, whatever the target's
+        p = tmp_path / ("t" * 247 + ".optrace")
+        assert len(p.name) == 255
+        write_trace(p, OpticalTrace(100.0, np.array([0.5])))
+        assert [q.name for q in tmp_path.iterdir()] == [p.name]
+        assert read_trace(p).samples.tolist() == [0.5]
